@@ -3,10 +3,17 @@
 //! Evaluation-mode scoring is a pure function of the padded key window
 //! ([`TransDas::position_scores`] runs with dropout disabled), and production
 //! sessions draw from one or two workflows, so the same windows recur
-//! constantly. [`ScoreCache`] memoizes the full `L x vocab` score matrix
-//! under the *exact* window key — full-key equality, not a hash digest — so
-//! a hit returns bit-identical scores and memoized detection is provably
-//! equivalent to unmemoized detection.
+//! constantly. [`ScoreCache`] memoizes score rows under the *exact* window
+//! key — full-key equality, not a hash digest — so a hit returns
+//! bit-identical scores and memoized detection is provably equivalent to
+//! unmemoized detection.
+//!
+//! Every entry is tagged with the [`ScoreRows`] it holds: Block detection
+//! reads the full `L x vocab` matrix ([`ScoreRows::All`]), Streaming
+//! detection only the `1 x vocab` row of `O_L` ([`ScoreRows::Last`]), which
+//! is `L` times smaller. The two kinds live in separate maps, so a reader
+//! can never be handed the other kind for the same window; capacity and
+//! recency span both.
 //!
 //! The cache is shared across serving shards: lookups take a [`Mutex`] on
 //! the map while hit/miss/eviction counters are lock-free [`ucad_obs`]
@@ -24,21 +31,31 @@ use std::sync::{Arc, Mutex};
 use ucad_nn::Tensor;
 use ucad_obs::{latency_log_bounds, Counter, Gauge, Histogram, MetricKind, Registry};
 
+/// Which rows of a window's `L x vocab` score matrix a computation produces
+/// and a cache entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScoreRows {
+    /// Every output position, `L x vocab` (Block detection).
+    All,
+    /// Only the last position `O_L`, `1 x vocab` (Streaming detection).
+    Last,
+}
+
 /// Counter snapshot for benchmarking and capacity tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
-    /// Lookups that returned a memoized score matrix.
+    /// Lookups that returned memoized scores.
     pub hits: u64,
     /// Lookups that fell through to a forward pass.
     pub misses: u64,
-    /// Windows evicted by the LRU bound.
+    /// Entries evicted by the LRU bound.
     pub evictions: u64,
     /// Entries dropped on lookup because their model epoch was stale
     /// (memoized before a hot-swap).
     pub stale_drops: u64,
-    /// Windows currently resident.
+    /// Entries currently resident.
     pub len: usize,
-    /// Maximum resident windows.
+    /// Maximum resident entries.
     pub capacity: usize,
 }
 
@@ -64,14 +81,28 @@ struct Entry {
 }
 
 struct Lru {
-    map: HashMap<Vec<u32>, Entry>,
+    /// One map per [`ScoreRows`] kind, indexed by [`Lru::slot`].
+    maps: [HashMap<Vec<u32>, Entry>; 2],
     clock: u64,
     capacity: usize,
     /// Current model epoch; bumped by [`ScoreCache::advance_epoch`].
     epoch: u64,
 }
 
-/// Thread-safe LRU memo of `padded window -> position-score matrix`.
+impl Lru {
+    fn slot(rows: ScoreRows) -> usize {
+        match rows {
+            ScoreRows::All => 0,
+            ScoreRows::Last => 1,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.maps.iter().map(HashMap::len).sum()
+    }
+}
+
+/// Thread-safe LRU memo of `(padded window, rows) -> score rows`.
 pub struct ScoreCache {
     inner: Mutex<Lru>,
     hits: Counter,
@@ -85,7 +116,8 @@ pub struct ScoreCache {
 }
 
 impl ScoreCache {
-    /// Creates a cache holding at most `capacity` windows.
+    /// Creates a cache holding at most `capacity` entries (of both
+    /// [`ScoreRows`] kinds together).
     ///
     /// # Panics
     /// Panics when `capacity` is zero (a disabled cache is expressed as
@@ -94,7 +126,7 @@ impl ScoreCache {
         assert!(capacity >= 1, "cache capacity must be at least 1");
         ScoreCache {
             inner: Mutex::new(Lru {
-                map: HashMap::new(),
+                maps: [HashMap::new(), HashMap::new()],
                 clock: 0,
                 capacity,
                 epoch: 0,
@@ -147,33 +179,34 @@ impl ScoreCache {
         );
     }
 
-    /// Looks up a padded window, refreshing its recency on a hit. An entry
-    /// memoized under an older model epoch is removed and reported as a
-    /// miss — a hot-swapped model must never be served its predecessor's
-    /// scores.
-    pub fn get(&self, window: &[u32]) -> Option<Arc<Tensor>> {
+    /// Looks up the `rows` of a padded window, refreshing its recency on a
+    /// hit. An entry memoized under an older model epoch is removed and
+    /// reported as a miss — a hot-swapped model must never be served its
+    /// predecessor's scores.
+    pub fn get(&self, window: &[u32], rows: ScoreRows) -> Option<Arc<Tensor>> {
         let start = std::time::Instant::now();
-        let result = self.get_inner(window);
+        let result = self.get_inner(window, rows);
         self.lookup_seconds.observe(start.elapsed().as_secs_f64());
         result
     }
 
-    fn get_inner(&self, window: &[u32]) -> Option<Arc<Tensor>> {
+    fn get_inner(&self, window: &[u32], rows: ScoreRows) -> Option<Arc<Tensor>> {
         let mut lru = self.inner.lock().expect("score cache poisoned");
         lru.clock += 1;
         let clock = lru.clock;
         let epoch = lru.epoch;
-        match lru.map.get_mut(window) {
+        let map = &mut lru.maps[Lru::slot(rows)];
+        match map.get_mut(window) {
             Some(entry) if entry.epoch == epoch => {
                 entry.last_used = clock;
                 self.hits.inc();
                 Some(Arc::clone(&entry.scores))
             }
             Some(_) => {
-                lru.map.remove(window);
+                map.remove(window);
                 self.stale_drops.inc();
                 self.misses.inc();
-                self.resident.set(lru.map.len() as f64);
+                self.resident.set(lru.len() as f64);
                 None
             }
             None => {
@@ -183,25 +216,28 @@ impl ScoreCache {
         }
     }
 
-    /// Inserts a freshly computed score matrix, evicting the least recently
-    /// used window when at capacity.
-    pub fn insert(&self, window: Vec<u32>, scores: Arc<Tensor>) {
+    /// Inserts the freshly computed `rows` of a window's scores, evicting
+    /// the least recently used entry of either kind when at capacity.
+    pub fn insert(&self, window: Vec<u32>, rows: ScoreRows, scores: Arc<Tensor>) {
         let mut lru = self.inner.lock().expect("score cache poisoned");
         lru.clock += 1;
         let clock = lru.clock;
-        if !lru.map.contains_key(&window) && lru.map.len() >= lru.capacity {
-            if let Some(oldest) = lru
-                .map
+        let slot = Lru::slot(rows);
+        if !lru.maps[slot].contains_key(&window) && lru.len() >= lru.capacity {
+            if let Some((victim_slot, oldest)) = lru
+                .maps
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .enumerate()
+                .flat_map(|(i, map)| map.iter().map(move |(k, e)| (e.last_used, i, k)))
+                .min_by_key(|&(last_used, _, _)| last_used)
+                .map(|(_, i, k)| (i, k.clone()))
             {
-                lru.map.remove(&oldest);
+                lru.maps[victim_slot].remove(&oldest);
                 self.evictions.inc();
             }
         }
         let epoch = lru.epoch;
-        lru.map.insert(
+        lru.maps[slot].insert(
             window,
             Entry {
                 scores,
@@ -209,12 +245,12 @@ impl ScoreCache {
                 epoch,
             },
         );
-        self.resident.set(lru.map.len() as f64);
+        self.resident.set(lru.len() as f64);
     }
 
-    /// Windows currently resident.
+    /// Entries currently resident, of both kinds.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("score cache poisoned").map.len()
+        self.inner.lock().expect("score cache poisoned").len()
     }
 
     /// True when nothing is cached.
@@ -231,7 +267,7 @@ impl ScoreCache {
             misses: self.misses.get(),
             evictions: self.evictions.get(),
             stale_drops: self.stale_drops.get(),
-            len: lru.map.len(),
+            len: lru.len(),
             capacity: lru.capacity,
         }
     }
@@ -253,9 +289,9 @@ mod tests {
     #[test]
     fn hit_returns_the_inserted_tensor() {
         let cache = ScoreCache::new(4);
-        assert!(cache.get(&[1, 2, 3]).is_none());
-        cache.insert(vec![1, 2, 3], scores(0.5));
-        let hit = cache.get(&[1, 2, 3]).expect("hit");
+        assert!(cache.get(&[1, 2, 3], ScoreRows::All).is_none());
+        cache.insert(vec![1, 2, 3], ScoreRows::All, scores(0.5));
+        let hit = cache.get(&[1, 2, 3], ScoreRows::All).expect("hit");
         assert_eq!(*hit, Tensor::full(2, 3, 0.5));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
@@ -265,15 +301,18 @@ mod tests {
     #[test]
     fn eviction_removes_least_recently_used() {
         let cache = ScoreCache::new(2);
-        cache.insert(vec![1], scores(1.0));
-        cache.insert(vec![2], scores(2.0));
+        cache.insert(vec![1], ScoreRows::All, scores(1.0));
+        cache.insert(vec![2], ScoreRows::All, scores(2.0));
         // Touch window [1] so [2] becomes the LRU victim.
-        assert!(cache.get(&[1]).is_some());
-        cache.insert(vec![3], scores(3.0));
+        assert!(cache.get(&[1], ScoreRows::All).is_some());
+        cache.insert(vec![3], ScoreRows::All, scores(3.0));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&[2]).is_none(), "LRU entry must be evicted");
-        assert!(cache.get(&[1]).is_some());
-        assert!(cache.get(&[3]).is_some());
+        assert!(
+            cache.get(&[2], ScoreRows::All).is_none(),
+            "LRU entry must be evicted"
+        );
+        assert!(cache.get(&[1], ScoreRows::All).is_some());
+        assert!(cache.get(&[3], ScoreRows::All).is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -282,9 +321,9 @@ mod tests {
         let reg = Registry::new();
         let cache = ScoreCache::new(2);
         cache.register_metrics(&reg, &[("cache", "score")]);
-        cache.insert(vec![1], scores(1.0));
-        assert!(cache.get(&[1]).is_some());
-        assert!(cache.get(&[2]).is_none());
+        cache.insert(vec![1], ScoreRows::All, scores(1.0));
+        assert!(cache.get(&[1], ScoreRows::All).is_some());
+        assert!(cache.get(&[2], ScoreRows::All).is_none());
         let text = reg.render_prometheus();
         assert!(text.contains("ucad_cache_hits_total{cache=\"score\"} 1"));
         assert!(text.contains("ucad_cache_misses_total{cache=\"score\"} 1"));
@@ -294,31 +333,37 @@ mod tests {
     #[test]
     fn reinserting_existing_key_does_not_evict() {
         let cache = ScoreCache::new(2);
-        cache.insert(vec![1], scores(1.0));
-        cache.insert(vec![2], scores(2.0));
-        cache.insert(vec![1], scores(9.0));
+        cache.insert(vec![1], ScoreRows::All, scores(1.0));
+        cache.insert(vec![2], ScoreRows::All, scores(2.0));
+        cache.insert(vec![1], ScoreRows::All, scores(9.0));
         assert_eq!(cache.len(), 2);
-        assert_eq!(*cache.get(&[1]).unwrap(), Tensor::full(2, 3, 9.0));
-        assert!(cache.get(&[2]).is_some());
+        assert_eq!(
+            *cache.get(&[1], ScoreRows::All).unwrap(),
+            Tensor::full(2, 3, 9.0)
+        );
+        assert!(cache.get(&[2], ScoreRows::All).is_some());
     }
 
     #[test]
     fn advance_epoch_invalidates_resident_entries() {
         let cache = ScoreCache::new(4);
-        cache.insert(vec![1, 2], scores(1.0));
-        assert!(cache.get(&[1, 2]).is_some());
+        cache.insert(vec![1, 2], ScoreRows::All, scores(1.0));
+        assert!(cache.get(&[1, 2], ScoreRows::All).is_some());
         assert_eq!(cache.advance_epoch(), 1);
         // The pre-swap entry must not be served against the new epoch.
         assert!(
-            cache.get(&[1, 2]).is_none(),
+            cache.get(&[1, 2], ScoreRows::All).is_none(),
             "stale entry served after swap"
         );
         let s = cache.stats();
         assert_eq!(s.stale_drops, 1);
         assert_eq!(s.len, 0, "stale entry must be dropped, not retained");
         // A fresh insert under the new epoch hits normally.
-        cache.insert(vec![1, 2], scores(2.0));
-        assert_eq!(*cache.get(&[1, 2]).unwrap(), Tensor::full(2, 3, 2.0));
+        cache.insert(vec![1, 2], ScoreRows::All, scores(2.0));
+        assert_eq!(
+            *cache.get(&[1, 2], ScoreRows::All).unwrap(),
+            Tensor::full(2, 3, 2.0)
+        );
         assert_eq!(cache.epoch(), 1);
     }
 
@@ -327,13 +372,42 @@ mod tests {
         let reg = Registry::new();
         let cache = ScoreCache::new(2);
         cache.register_metrics(&reg, &[("cache", "score")]);
-        cache.insert(vec![7], scores(1.0));
+        cache.insert(vec![7], ScoreRows::All, scores(1.0));
         cache.advance_epoch();
-        assert!(cache.get(&[7]).is_none());
+        assert!(cache.get(&[7], ScoreRows::All).is_none());
         let text = reg.render_prometheus();
         assert!(text.contains("ucad_cache_stale_drops_total{cache=\"score\"} 1"));
         assert!(text.contains("ucad_cache_misses_total{cache=\"score\"} 1"));
         assert!(text.contains("ucad_cache_len{cache=\"score\"} 0"));
+    }
+
+    #[test]
+    fn row_kinds_never_alias_and_share_capacity() {
+        let cache = ScoreCache::new(2);
+        cache.insert(vec![1, 2], ScoreRows::All, scores(1.0));
+        // The same window under the other kind is a different entry.
+        assert!(cache.get(&[1, 2], ScoreRows::Last).is_none());
+        cache.insert(
+            vec![1, 2],
+            ScoreRows::Last,
+            Arc::new(Tensor::full(1, 3, 2.0)),
+        );
+        assert_eq!(cache.len(), 2);
+        assert_eq!(
+            *cache.get(&[1, 2], ScoreRows::All).unwrap(),
+            Tensor::full(2, 3, 1.0)
+        );
+        assert_eq!(
+            *cache.get(&[1, 2], ScoreRows::Last).unwrap(),
+            Tensor::full(1, 3, 2.0)
+        );
+        // Capacity counts both kinds: the least recently used entry (the
+        // full matrix) is evicted first.
+        cache.insert(vec![3], ScoreRows::Last, Arc::new(Tensor::full(1, 3, 3.0)));
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&[1, 2], ScoreRows::All).is_none());
+        assert!(cache.get(&[1, 2], ScoreRows::Last).is_some());
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! vocabulary (`k0`) are abnormal by definition (their embedding is the
 //! constant zero vector, so they carry no learned semantics).
 
-use crate::cache::ScoreCache;
+use crate::cache::{ScoreCache, ScoreRows};
 use crate::model::TransDas;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -221,10 +221,11 @@ impl<'a> Detector<'a> {
     /// per session: the per-session window walk and stop-on-first-abnormal
     /// rule are the same code, and batched scores are bit-identical to
     /// single-window scores. Cache interaction uses the same
-    /// exact-padded-window keys as the streaming path (one entry per unique
-    /// window, no duplicates); the only difference is that windows past a
-    /// session's first abnormal position may be scored speculatively, which
-    /// can only *add* pure cache entries, never change a verdict.
+    /// exact-padded-window [`ScoreRows::All`] keys as the sequential Block
+    /// walk (one entry per unique window, no duplicates); the only
+    /// difference is that windows past a session's first abnormal position
+    /// may be scored speculatively, which can only *add* pure cache entries,
+    /// never change a verdict.
     ///
     /// In [`DetectionMode::Streaming`] each position needs its own
     /// backward-context forward and sessions early-exit position by
@@ -271,23 +272,11 @@ impl<'a> Detector<'a> {
     }
 
     /// Scores one position under streaming semantics (§5.3's `O_L` rule):
-    /// the verdict for `keys[t]` given the preceding context `keys[..t]`.
-    /// This is the exact per-operation rule of the online deployment loop.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `streaming_verdict_detail(keys, t, cache).verdict`; the detail \
-                variant carries rank/score/cache-hit diagnostics at no extra cost"
-    )]
-    pub fn streaming_verdict(
-        &self,
-        keys: &[u32],
-        t: usize,
-        cache: Option<&ScoreCache>,
-    ) -> OpVerdict {
-        self.streaming_verdict_detail(keys, t, cache).verdict
-    }
-
-    /// [`Detector::streaming_verdict`] with rank/score/cache-hit diagnostics.
+    /// the verdict for `keys[t]` given the preceding context `keys[..t]`,
+    /// with rank/score/cache-hit diagnostics. This is the exact
+    /// per-operation rule of the online deployment loop; the forward
+    /// computes only the `O_L` row it reads
+    /// ([`TransDas::next_scores_cached_flagged`]).
     pub fn streaming_verdict_detail(
         &self,
         keys: &[u32],
@@ -304,9 +293,8 @@ impl<'a> Detector<'a> {
             };
         }
         ucad_fault::on_scoring_forward();
-        let (scores, cache_hit) = self.model.position_scores_cached_flagged(&keys[..t], cache);
-        let row = scores.row(scores.rows() - 1);
-        let (verdict, rank, score) = self.verdict_at(row, keys[t]);
+        let (scores, cache_hit) = self.model.next_scores_cached_flagged(&keys[..t], cache);
+        let (verdict, rank, score) = self.verdict_at(scores.row(0), keys[t]);
         VerdictDetail {
             position: t,
             verdict,
@@ -477,8 +465,8 @@ impl<'a> Detector<'a> {
             .collect();
         // Resolve scores in walk order: cache hits directly, misses through
         // one batched forward. Misses are deduplicated by their exact padded
-        // window — the same key the streaming path uses — so a shared cache
-        // never receives duplicate entries for one window.
+        // window — the same key the sequential Block walk uses — so a shared
+        // cache never receives duplicate entries for one window.
         let mut tables: Vec<Vec<Option<Arc<Tensor>>>> = plans
             .iter()
             .map(|p| vec![None; p.as_ref().map_or(0, |(_, s)| s.len())])
@@ -491,7 +479,7 @@ impl<'a> Detector<'a> {
             for (wi, &start) in starts.iter().enumerate() {
                 let key = self.model.pad_window(&walk.padded[start..start + l]);
                 if let Some(cache) = cache {
-                    if let Some(hit) = cache.get(&key) {
+                    if let Some(hit) = cache.get(&key, ScoreRows::All) {
                         tables[si][wi] = Some(hit);
                         continue;
                     }
@@ -512,7 +500,7 @@ impl<'a> Detector<'a> {
             .collect();
         if let Some(cache) = cache {
             for (key, scores) in unique.iter().zip(&computed) {
-                cache.insert(key.clone(), Arc::clone(scores));
+                cache.insert(key.clone(), ScoreRows::All, Arc::clone(scores));
             }
         }
         for (si, wi, idx) in misses {

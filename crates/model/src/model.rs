@@ -2,7 +2,7 @@
 //! blocks with the target-disconnect mask, and the Eq. 11 training
 //! objective, trained by sliding windows over tokenized sessions.
 
-use crate::cache::ScoreCache;
+use crate::cache::{ScoreCache, ScoreRows};
 #[cfg(test)]
 use crate::config::MaskMode;
 use crate::config::TransDasConfig;
@@ -10,6 +10,7 @@ use crate::mask::build_mask;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use ucad_nn::init::{normal, xavier_uniform};
@@ -271,8 +272,9 @@ impl TransDas {
     }
 
     /// Tape-free evaluation forward over `windows` (each one padded window),
-    /// stacked as a `(B * L) x hidden` tensor with window `w` in rows
-    /// `[w * L, (w + 1) * L)`.
+    /// stacked with window `w` in rows `[w * r, (w + 1) * r)`, where `r` is
+    /// the number of output rows `rows` keeps per window: all `L` rows, or
+    /// only the last row `O_L`.
     ///
     /// Bit-identical per window to the tape forward in evaluation mode: all
     /// row-wise stages (embedding gather, projections, FFN, residuals, layer
@@ -282,7 +284,14 @@ impl TransDas {
     /// (window, head) through [`Tensor::matmul_bt`], itself bit-identical to
     /// the tape's `matmul(q, transpose(k))`. Eval dropout (`keep = 1.0`) is
     /// the identity and is skipped.
-    fn forward_eval_batch(&self, windows: &[&[u32]]) -> Tensor {
+    ///
+    /// [`ScoreRows::Last`] narrows only the final block: every earlier block
+    /// feeds keys and values of all `L` rows to the next one, while the final
+    /// block's queries, attention rows, output projection, layer norms and
+    /// FFN only need the last row. Every one of those stages is row-wise, so
+    /// the retained row is the same f32 sequence as row `L - 1` of the
+    /// [`ScoreRows::All`] forward.
+    fn forward_eval_batch(&self, windows: &[&[u32]], rows: ScoreRows) -> Tensor {
         let l = self.cfg.window;
         let b = windows.len();
         for w in windows {
@@ -309,26 +318,46 @@ impl TransDas {
         }
         let scale = 1.0 / (self.cfg.hidden as f32).sqrt();
         let masks: Vec<Tensor> = windows.iter().map(|w| self.eval_mask(w)).collect();
-        for block in &self.blocks {
+        let last = self.blocks.len() - 1;
+        for (bi, block) in self.blocks.iter().enumerate() {
+            // This block's query rows are `[q0, L)` of every window, `r` per
+            // window; keys and values always span all `L` rows.
+            let q0 = match rows {
+                ScoreRows::Last if bi == last => l - 1,
+                _ => 0,
+            };
+            let r = l - q0;
+            let xq = if q0 == 0 {
+                Cow::Borrowed(&x)
+            } else {
+                let idx: Vec<usize> = (0..b).flat_map(|w| w * l + q0..(w + 1) * l).collect();
+                Cow::Owned(x.gather_rows(&idx))
+            };
             let attention_span = ucad_obs::span!("model.attention");
             let mut heads = Vec::with_capacity(self.cfg.heads);
             for h in 0..self.cfg.heads {
-                // Projections are row-wise: batching them across windows is
-                // exactly the per-window computation.
-                let q_all = x.matmul(store.value(block.wq[h]));
+                // Projections are row-wise: batching them across windows (or
+                // projecting only the query rows) is exactly the per-window
+                // computation.
+                let q_all = xq.matmul(store.value(block.wq[h]));
                 let k_all = x.matmul(store.value(block.wk[h]));
                 let v_all = x.matmul(store.value(block.wv[h]));
-                let mut head_out = Tensor::zeros(b * l, q_all.cols());
+                let mut head_out = Tensor::zeros(b * r, q_all.cols());
                 // Attention mixes rows, so it runs block-diagonally: each
                 // window only attends within its own L rows.
                 for (w, mask) in masks.iter().enumerate() {
-                    let q = Self::slice_rows(&q_all, w * l, (w + 1) * l);
+                    let q = Self::slice_rows(&q_all, w * r, (w + 1) * r);
                     let k = Self::slice_rows(&k_all, w * l, (w + 1) * l);
                     let v = Self::slice_rows(&v_all, w * l, (w + 1) * l);
-                    let a = q.matmul_bt(&k).scale(scale).add(mask).softmax_rows();
+                    let mask = if q0 == 0 {
+                        Cow::Borrowed(mask)
+                    } else {
+                        Cow::Owned(Self::slice_rows(mask, q0, l))
+                    };
+                    let a = q.matmul_bt(&k).scale(scale).add(&mask).softmax_rows();
                     let av = a.matmul(&v);
-                    for i in 0..l {
-                        head_out.row_mut(w * l + i).copy_from_slice(av.row(i));
+                    for i in 0..r {
+                        head_out.row_mut(w * r + i).copy_from_slice(av.row(i));
                     }
                 }
                 heads.push(head_out);
@@ -336,7 +365,7 @@ impl TransDas {
             let head_refs: Vec<&Tensor> = heads.iter().collect();
             let mh = Tensor::concat_cols(&head_refs);
             let projected = mh.matmul(store.value(block.wo));
-            let res = x.add(&projected);
+            let res = xq.add(&projected);
             let (normed, _, _) = res.layer_norm_forward(
                 store.value(block.ln1.gain),
                 store.value(block.ln1.bias),
@@ -365,7 +394,7 @@ impl TransDas {
     /// Evaluation-mode output `O^(B)` for a padded window.
     pub fn output(&self, inputs: &[u32]) -> Tensor {
         let padded = self.pad_window(inputs);
-        self.forward_eval_batch(&[&padded])
+        self.forward_eval_batch(&[&padded], ScoreRows::All)
     }
 
     /// The tape-based evaluation forward, kept as the reference
@@ -389,7 +418,7 @@ impl TransDas {
         }
         let padded: Vec<Vec<u32>> = windows.iter().map(|w| self.pad_window(w)).collect();
         let refs: Vec<&[u32]> = padded.iter().map(Vec::as_slice).collect();
-        let stacked = self.forward_eval_batch(&refs);
+        let stacked = self.forward_eval_batch(&refs, ScoreRows::All);
         let l = self.cfg.window;
         (0..windows.len())
             .map(|w| Self::slice_rows(&stacked, w * l, (w + 1) * l))
@@ -404,7 +433,7 @@ impl TransDas {
         }
         let padded: Vec<Vec<u32>> = windows.iter().map(|w| self.pad_window(w)).collect();
         let refs: Vec<&[u32]> = padded.iter().map(Vec::as_slice).collect();
-        let stacked = self.forward_eval_batch(&refs);
+        let stacked = self.forward_eval_batch(&refs, ScoreRows::All);
         let m = self.store.value(self.embedding);
         let scores = stacked.matmul_bt(m);
         let l = self.cfg.window;
@@ -435,17 +464,23 @@ impl TransDas {
     /// `scores[i][k] = O_i . M(k)` (`L x vocab`). Ranking by this dot product
     /// is identical to ranking by Eq. 10's sigmoid, which is monotone.
     pub fn position_scores(&self, inputs: &[u32]) -> Tensor {
-        let o = self.output(inputs);
-        let m = self.store.value(self.embedding);
-        o.matmul_bt(m)
+        self.padded_scores(&self.pad_window(inputs), ScoreRows::All)
     }
 
     /// Scores the *next* operation after `context` against all keys
-    /// (`1 x vocab` row: the paper's `O_L` detection vector).
+    /// (`1 x vocab` row: the paper's `O_L` detection vector). Runs the
+    /// last-row forward, so it is bit-identical to the last row of
+    /// [`TransDas::position_scores`] at a fraction of the cost.
     pub fn next_scores(&self, context: &[u32]) -> Vec<f32> {
-        let padded = self.pad_window(context);
-        let scores = self.position_scores(&padded);
-        scores.row(scores.rows() - 1).to_vec()
+        self.padded_scores(&self.pad_window(context), ScoreRows::Last)
+            .row(0)
+            .to_vec()
+    }
+
+    /// The `rows` of one padded window's score matrix: `O . M^T`.
+    fn padded_scores(&self, padded: &[u32], rows: ScoreRows) -> Tensor {
+        let o = self.forward_eval_batch(&[padded], rows);
+        o.matmul_bt(self.store.value(self.embedding))
     }
 
     /// [`TransDas::position_scores`] memoized through an optional
@@ -469,31 +504,40 @@ impl TransDas {
         inputs: &[u32],
         cache: Option<&ScoreCache>,
     ) -> (Arc<Tensor>, Option<bool>) {
+        self.scores_memoized(inputs, cache, ScoreRows::All)
+    }
+
+    /// [`TransDas::next_scores`] memoized through an optional
+    /// [`ScoreCache`], as a `1 x vocab` tensor plus the memo hit flag (see
+    /// [`TransDas::position_scores_cached_flagged`]). Entries are
+    /// [`ScoreRows::Last`] rows, never confused with full matrices.
+    pub fn next_scores_cached_flagged(
+        &self,
+        context: &[u32],
+        cache: Option<&ScoreCache>,
+    ) -> (Arc<Tensor>, Option<bool>) {
+        self.scores_memoized(context, cache, ScoreRows::Last)
+    }
+
+    fn scores_memoized(
+        &self,
+        inputs: &[u32],
+        cache: Option<&ScoreCache>,
+        rows: ScoreRows,
+    ) -> (Arc<Tensor>, Option<bool>) {
         let padded = self.pad_window(inputs);
         if let Some(cache) = cache {
-            if let Some(hit) = cache.get(&padded) {
+            if let Some(hit) = cache.get(&padded, rows) {
                 return (hit, Some(true));
             }
         }
-        let scores = Arc::new(self.position_scores(&padded));
+        let scores = Arc::new(self.padded_scores(&padded, rows));
         if let Some(cache) = cache {
-            cache.insert(padded, Arc::clone(&scores));
+            cache.insert(padded, rows, Arc::clone(&scores));
             (scores, Some(false))
         } else {
             (scores, None)
         }
-    }
-
-    /// [`TransDas::next_scores`] memoized through an optional [`ScoreCache`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "duplicate entry point: take the last row of \
-                `position_scores_cached(context, cache)` instead, which shares \
-                the memo and avoids re-deriving the padded window"
-    )]
-    pub fn next_scores_cached(&self, context: &[u32], cache: Option<&ScoreCache>) -> Vec<f32> {
-        let scores = self.position_scores_cached(context, cache);
-        scores.row(scores.rows() - 1).to_vec()
     }
 
     /// Extracts training windows from tokenized sessions.

@@ -2,13 +2,20 @@
 //! thousand Scenario-I sessions, cached and uncached scoring must agree
 //! exactly — same per-position score vectors, same top-*p* verdicts, in
 //! both detection modes — and eviction at tiny capacity must never corrupt
-//! a result.
+//! a result. Streaming scoring computes only the last output row, so this
+//! wall also pins that row bit-for-bit to the full score matrix, and checks
+//! that one cache shared by both modes never hands a reader the other
+//! mode's entry shape.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::OnceLock;
+use rand::{Rng, SeedableRng};
+use std::sync::{Arc, OnceLock};
 use ucad::{Ucad, UcadConfig};
-use ucad_model::{DetectionMode, Detector, DetectorConfig, ScoreCache, TransDasConfig};
+use ucad_model::{
+    DetectionMode, Detector, DetectorConfig, MaskMode, ScoreCache, TransDas, TransDasConfig,
+    VerdictDetail,
+};
+use ucad_pool::{with_pool, Pool};
 use ucad_trace::{generate_raw_log, AnomalySynthesizer, ScenarioSpec, SessionGenerator};
 
 fn trained() -> &'static (Ucad, ScenarioSpec) {
@@ -130,4 +137,140 @@ fn eviction_at_tiny_capacity_never_corrupts_scores() {
     let stats = cache.stats();
     assert!(stats.len <= 2, "cache exceeded its capacity: {}", stats.len);
     assert!(stats.misses > 0);
+}
+
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn last_row_scores_are_bitwise_the_full_matrix_last_row() {
+    const L: usize = 8;
+    const VOCAB: usize = 300;
+    let mut rng = StdRng::seed_from_u64(2024);
+    // Context lengths 1..=2L cover front-padded (< L), exact (= L) and
+    // truncated (> L) windows; every third context carries interior `k0`
+    // (unknown-statement) keys.
+    let contexts: Vec<Vec<u32>> = (1..=2 * L)
+        .flat_map(|len| (0..3).map(move |variant| (len, variant)))
+        .map(|(len, variant)| {
+            (0..len)
+                .map(|i| {
+                    if variant == 2 && i % 3 == 1 {
+                        0
+                    } else {
+                        rng.gen_range(1..VOCAB as u32)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    assert!(contexts
+        .iter()
+        .any(|c| c.len() > 2 && c[1..c.len() - 1].contains(&0)));
+    let mut checked = 0usize;
+    for mask in [MaskMode::TransDas, MaskMode::Causal, MaskMode::Full] {
+        for positional in [false, true] {
+            for blocks in 1..=3 {
+                let model = TransDas::new(TransDasConfig {
+                    vocab_size: VOCAB,
+                    hidden: 16,
+                    heads: 2,
+                    blocks,
+                    window: L,
+                    positional,
+                    mask,
+                    seed: 7 + blocks as u64,
+                    ..TransDasConfig::scenario1(VOCAB)
+                });
+                for threads in [1, 2] {
+                    with_pool(Arc::new(Pool::new(threads)), || {
+                        let cache = ScoreCache::new(contexts.len());
+                        for ctx in &contexts {
+                            let full = model.position_scores(ctx);
+                            let want = bits(full.row(full.rows() - 1));
+                            let label = format!(
+                                "{mask:?} positional={positional} blocks={blocks} \
+                                 threads={threads} len={}",
+                                ctx.len()
+                            );
+                            assert_eq!(bits(&model.next_scores(ctx)), want, "{label}");
+                            for expect_hit in [false, true] {
+                                let (memo, hit) =
+                                    model.next_scores_cached_flagged(ctx, Some(&cache));
+                                assert_eq!(memo.shape(), (1, VOCAB), "{label}");
+                                assert_eq!(bits(memo.row(0)), want, "{label}");
+                                assert_eq!(hit, Some(expect_hit), "{label}");
+                            }
+                            checked += 1;
+                        }
+                    });
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 3 * 2 * 3 * 2 * contexts.len());
+}
+
+/// Verdicts with their rank and score, minus the cache-hit flag (which is
+/// the only field allowed to differ between cached and uncached runs).
+fn verdict_key(details: &[VerdictDetail]) -> Vec<(usize, String, Option<usize>, Option<u32>)> {
+    details
+        .iter()
+        .map(|d| {
+            (
+                d.position,
+                format!("{:?}", d.verdict),
+                d.rank,
+                d.score.map(f32::to_bits),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn one_cache_shared_by_streaming_and_block_detectors_stays_exact() {
+    let (system, _) = trained();
+    let sessions = thousand_sessions();
+    let sessions = &sessions[..150];
+    let detector = |mode| {
+        Detector::new(
+            &system.model,
+            DetectorConfig {
+                mode,
+                ..system.detector
+            },
+        )
+    };
+    let streaming = detector(DetectionMode::Streaming);
+    let block = detector(DetectionMode::Block);
+    let cache = ScoreCache::new(4096);
+    let mut hits = [0usize; 2];
+    let mut abnormal = 0usize;
+    // Two passes, each interleaving the modes session by session over the
+    // same windows: the second pass must be served from the shared memo.
+    for _ in 0..2 {
+        for keys in sessions {
+            for (i, det) in [&streaming, &block].into_iter().enumerate() {
+                let cached = det.run_verdicts_detail(keys, 0, Some(&cache));
+                let plain = det.run_verdicts_detail(keys, 0, None);
+                assert_eq!(
+                    verdict_key(&cached),
+                    verdict_key(&plain),
+                    "shared cache changed a {:?} verdict",
+                    det.cfg.mode
+                );
+                assert_eq!(
+                    det.detect_session_cached(keys, Some(&cache)),
+                    det.detect_session(keys)
+                );
+                hits[i] += cached.iter().filter(|d| d.cache_hit == Some(true)).count();
+                abnormal += usize::from(cached.last().is_some_and(|d| d.verdict.is_abnormal()));
+            }
+        }
+    }
+    assert!(hits[0] > 0, "Streaming detector never hit the shared cache");
+    assert!(hits[1] > 0, "Block detector never hit the shared cache");
+    assert!(abnormal > 0, "no abnormal verdicts — the wall is vacuous");
+    assert_eq!(cache.stats().evictions, 0, "capacity must hold every entry");
 }
