@@ -1547,24 +1547,9 @@ impl ShardedOnlineUcad {
     /// accounted through replay, never lost. Alerts surface through
     /// [`ShardedOnlineUcad::drain_alerts`], not the submission path.
     ///
-    /// # Panics
-    /// Panics when a durable WAL append fails (injected I/O faults, disk
-    /// errors) — use [`ShardedOnlineUcad::try_submit`] to handle that
-    /// without panicking. In-memory engines never hit this.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_submit`; it returns the same `SubmitOutcome` but surfaces \
-                durable-append failures as `Err(UcadError)` instead of panicking, \
-                and it is the spelling the transport-agnostic `Admission` trait uses"
-    )]
-    pub fn submit(&mut self, record: &LogRecord) -> SubmitOutcome {
-        self.try_submit(record)
-            .expect("durable WAL append failed (use try_submit to handle I/O errors)")
-    }
-
-    /// Fallible submission: a failed durable append surfaces as `Err` and
-    /// the record reaches no shard — the engine stays consistent and the
-    /// caller may retry. In-memory engines never error.
+    /// A failed durable append (injected I/O faults, disk errors) surfaces
+    /// as `Err` and the record reaches no shard — the engine stays
+    /// consistent and the caller may retry. In-memory engines never error.
     pub fn try_submit(&mut self, record: &LogRecord) -> Result<SubmitOutcome, UcadError> {
         self.try_submit_at(record, self.next_seq)
     }

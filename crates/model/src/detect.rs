@@ -316,26 +316,9 @@ impl<'a> Detector<'a> {
     /// provided each Block-mode call ends on a window boundary (`m - from` a
     /// multiple of the model window, the invariant the serving engine
     /// maintains) — the property that makes incremental serving output
-    /// independent of batch timing.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run_verdicts_detail` and map with `VerdictDetail::position_verdict` \
-                if only the plain verdicts are needed"
-    )]
-    pub fn run_verdicts(
-        &self,
-        keys: &[u32],
-        from: usize,
-        cache: Option<&ScoreCache>,
-    ) -> Vec<PositionVerdict> {
-        self.run_verdicts_detail(keys, from, cache)
-            .iter()
-            .map(VerdictDetail::position_verdict)
-            .collect()
-    }
-
-    /// [`Detector::run_verdicts`] with rank/score/cache-hit diagnostics per
-    /// position. Same walk, same stop-on-first-abnormal rule.
+    /// independent of batch timing. Each verdict carries its rank, score and
+    /// cache-hit diagnostics; [`VerdictDetail::position_verdict`] maps it to
+    /// the plain verdict.
     pub fn run_verdicts_detail(
         &self,
         keys: &[u32],

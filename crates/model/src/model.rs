@@ -16,7 +16,7 @@ use std::time::Instant;
 use ucad_nn::init::{normal, xavier_uniform};
 use ucad_nn::layers::{LayerNorm, Linear};
 use ucad_nn::optim::{Adam, Optimizer};
-use ucad_nn::{ParamId, ParamStore, Tape, Tensor, Var};
+use ucad_nn::{AttentionScratch, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// One attention block: `m` heads, output projection, feed-forward,
 /// residual + layer norm + dropout regularization (Eq. 5).
@@ -47,6 +47,11 @@ pub struct Window {
 
 /// Global gradient-norm clip applied per optimizer step.
 const GRAD_CLIP: f32 = 5.0;
+
+/// Windows per pool task of the batched evaluation forward: enough stacked
+/// rows to amortise each chunk's set-up and fork/join handshake, few enough
+/// that a typical `detect_batch` yields several tasks per core.
+pub const EVAL_CHUNK: usize = 32;
 
 /// Process-wide forward-pass counter (`ucad_model_forward_total`); the
 /// handle is cached so the hot path never takes the registry mutex.
@@ -265,25 +270,82 @@ impl TransDas {
         mask_t
     }
 
-    /// Copy of rows `[r0, r1)`.
-    fn slice_rows(t: &Tensor, r0: usize, r1: usize) -> Tensor {
-        let c = t.cols();
-        Tensor::from_vec(r1 - r0, c, t.data()[r0 * c..r1 * c].to_vec())
+    /// Splits a stacked tensor into `parts` equal blocks of rows.
+    fn split_rows(t: Tensor, parts: usize) -> Vec<Tensor> {
+        if parts == 1 {
+            return vec![t];
+        }
+        let (r, c) = (t.rows() / parts, t.cols());
+        t.data()
+            .chunks_exact(r * c)
+            .map(|rows| Tensor::from_vec(r, c, rows.to_vec()))
+            .collect()
     }
 
-    /// Tape-free evaluation forward over `windows` (each one padded window),
-    /// stacked with window `w` in rows `[w * r, (w + 1) * r)`, where `r` is
-    /// the number of output rows `rows` keeps per window: all `L` rows, or
-    /// only the last row `O_L`.
+    /// Tape-free evaluation forward over `windows` (each one padded window):
+    /// one `finish(O)` per window, where `O` holds the `rows` of the window's
+    /// output that `rows` keeps (all `L`, or only the last row `O_L`).
+    ///
+    /// Windows run in [`EVAL_CHUNK`]-sized chunks: each chunk is one stacked
+    /// [`TransDas::forward_stacked`] plus its `finish`, and more than one
+    /// chunk spreads over the [`ucad_pool`] pool, each chunk producing its
+    /// own windows' outputs. Every kernel inside a chunk runs inline, so a
+    /// call with at most one chunk — every single-window call, hence every
+    /// serving path — never touches the pool. Per-window results do not
+    /// depend on which chunk (or thread) computed them, so the output is
+    /// bit-identical at any batch size and thread count. One forward is
+    /// counted per window; `model.forward` is one span per call on the
+    /// calling thread, while the per-chunk `model.attention` / `model.ffn`
+    /// spans may close on pool threads.
+    fn eval_windows(
+        &self,
+        windows: &[&[u32]],
+        rows: ScoreRows,
+        finish: impl Fn(Tensor) -> Tensor + Sync,
+    ) -> Vec<Tensor> {
+        if windows.is_empty() {
+            return Vec::new();
+        }
+        for w in windows {
+            assert_eq!(w.len(), self.cfg.window, "inputs must be full windows");
+        }
+        let _forward_span = ucad_obs::span!("model.forward");
+        forward_counter().add(windows.len() as u64);
+        let run_chunk = |chunk: &[&[u32]]| {
+            ucad_pool::inline(|| {
+                Self::split_rows(finish(self.forward_stacked(chunk, rows)), chunk.len())
+            })
+        };
+        if windows.len() <= EVAL_CHUNK {
+            return run_chunk(windows);
+        }
+        let chunks: Vec<&[&[u32]]> = windows.chunks(EVAL_CHUNK).collect();
+        let outs: Vec<OnceLock<Vec<Tensor>>> = chunks.iter().map(|_| OnceLock::new()).collect();
+        ucad_pool::current().parallel_for(chunks.len(), 1, |c0, c1| {
+            for c in c0..c1 {
+                outs[c]
+                    .set(run_chunk(chunks[c]))
+                    .expect("parallel_for hands out each chunk index once");
+            }
+        });
+        outs.into_iter()
+            .flat_map(|o| o.into_inner().expect("every chunk ran"))
+            .collect()
+    }
+
+    /// The stacked evaluation forward of one chunk of windows, window `w` in
+    /// rows `[w * r, (w + 1) * r)`, where `r` is the number of output rows
+    /// `rows` keeps per window.
     ///
     /// Bit-identical per window to the tape forward in evaluation mode: all
     /// row-wise stages (embedding gather, projections, FFN, residuals, layer
     /// norm via [`Tensor::layer_norm_forward`], bias via
     /// [`Tensor::add_row_broadcast`]) are batched across windows, which
     /// cannot change per-row f32 results, and attention runs per
-    /// (window, head) through [`Tensor::matmul_bt`], itself bit-identical to
-    /// the tape's `matmul(q, transpose(k))`. Eval dropout (`keep = 1.0`) is
-    /// the identity and is skipped.
+    /// (window, head) through [`Tensor::masked_attention`], itself
+    /// bit-identical to the tape's
+    /// `softmax_rows(matmul(q, transpose(k)) * scale + mask) * v`. Eval
+    /// dropout (`keep = 1.0`) is the identity and is skipped.
     ///
     /// [`ScoreRows::Last`] narrows only the final block: every earlier block
     /// feeds keys and values of all `L` rows to the next one, while the final
@@ -291,14 +353,10 @@ impl TransDas {
     /// FFN only need the last row. Every one of those stages is row-wise, so
     /// the retained row is the same f32 sequence as row `L - 1` of the
     /// [`ScoreRows::All`] forward.
-    fn forward_eval_batch(&self, windows: &[&[u32]], rows: ScoreRows) -> Tensor {
+    fn forward_stacked(&self, windows: &[&[u32]], rows: ScoreRows) -> Tensor {
         let l = self.cfg.window;
+        let d = self.cfg.head_dim();
         let b = windows.len();
-        for w in windows {
-            assert_eq!(w.len(), l, "inputs must be full windows");
-        }
-        let _forward_span = ucad_obs::span!("model.forward");
-        forward_counter().add(b as u64);
         let store = &self.store;
         let emb = store.value(self.embedding);
         let idx: Vec<usize> = windows
@@ -318,6 +376,7 @@ impl TransDas {
         }
         let scale = 1.0 / (self.cfg.hidden as f32).sqrt();
         let masks: Vec<Tensor> = windows.iter().map(|w| self.eval_mask(w)).collect();
+        let mut scratch = AttentionScratch::new(l, d);
         let last = self.blocks.len() - 1;
         for (bi, block) in self.blocks.iter().enumerate() {
             // This block's query rows are `[q0, L)` of every window, `r` per
@@ -342,23 +401,22 @@ impl TransDas {
                 let q_all = xq.matmul(store.value(block.wq[h]));
                 let k_all = x.matmul(store.value(block.wk[h]));
                 let v_all = x.matmul(store.value(block.wv[h]));
-                let mut head_out = Tensor::zeros(b * r, q_all.cols());
+                let mut head_out = Tensor::zeros(b * r, d);
+                let out = head_out.data_mut();
                 // Attention mixes rows, so it runs block-diagonally: each
-                // window only attends within its own L rows.
+                // window only attends within its own L rows, read in place
+                // from the batched projections.
                 for (w, mask) in masks.iter().enumerate() {
-                    let q = Self::slice_rows(&q_all, w * r, (w + 1) * r);
-                    let k = Self::slice_rows(&k_all, w * l, (w + 1) * l);
-                    let v = Self::slice_rows(&v_all, w * l, (w + 1) * l);
-                    let mask = if q0 == 0 {
-                        Cow::Borrowed(mask)
-                    } else {
-                        Cow::Owned(Self::slice_rows(mask, q0, l))
-                    };
-                    let a = q.matmul_bt(&k).scale(scale).add(&mask).softmax_rows();
-                    let av = a.matmul(&v);
-                    for i in 0..r {
-                        head_out.row_mut(w * r + i).copy_from_slice(av.row(i));
-                    }
+                    let (qs, kvs) = (w * r * d..(w + 1) * r * d, w * l * d..(w + 1) * l * d);
+                    Tensor::masked_attention(
+                        &q_all.data()[qs.clone()],
+                        &k_all.data()[kvs.clone()],
+                        &v_all.data()[kvs],
+                        &mask.data()[q0 * l..],
+                        scale,
+                        &mut out[qs],
+                        &mut scratch,
+                    );
                 }
                 heads.push(head_out);
             }
@@ -394,7 +452,9 @@ impl TransDas {
     /// Evaluation-mode output `O^(B)` for a padded window.
     pub fn output(&self, inputs: &[u32]) -> Tensor {
         let padded = self.pad_window(inputs);
-        self.forward_eval_batch(&[&padded], ScoreRows::All)
+        self.eval_windows(&[&padded], ScoreRows::All, |o| o)
+            .pop()
+            .expect("one window in, one output out")
     }
 
     /// The tape-based evaluation forward, kept as the reference
@@ -408,38 +468,25 @@ impl TransDas {
         tape.value(o).clone()
     }
 
-    /// Batched evaluation: pads every window and packs all of them into one
-    /// stacked forward, returning one `L x hidden` output per window.
-    /// Bit-identical per window to [`TransDas::output`]; one forward pass is
-    /// counted per window so `ucad_model_forward_total` is batch-invariant.
+    /// Batched evaluation: pads every window and runs them through the
+    /// window-parallel forward (chunks of [`EVAL_CHUNK`] windows spread over
+    /// the pool), returning one `L x hidden` output per window. Bit-identical per
+    /// window to [`TransDas::output`]; one forward pass is counted per
+    /// window so `ucad_model_forward_total` is batch-invariant.
     pub fn forward_batch(&self, windows: &[&[u32]]) -> Vec<Tensor> {
-        if windows.is_empty() {
-            return Vec::new();
-        }
         let padded: Vec<Vec<u32>> = windows.iter().map(|w| self.pad_window(w)).collect();
         let refs: Vec<&[u32]> = padded.iter().map(Vec::as_slice).collect();
-        let stacked = self.forward_eval_batch(&refs, ScoreRows::All);
-        let l = self.cfg.window;
-        (0..windows.len())
-            .map(|w| Self::slice_rows(&stacked, w * l, (w + 1) * l))
-            .collect()
+        self.eval_windows(&refs, ScoreRows::All, |o| o)
     }
 
     /// Batched [`TransDas::position_scores`]: one `L x vocab` score matrix
-    /// per window, computed from a single stacked forward.
+    /// per window, each chunk of the window-parallel forward also computing
+    /// its own `O * M^T` product.
     pub fn position_scores_batch(&self, windows: &[&[u32]]) -> Vec<Tensor> {
-        if windows.is_empty() {
-            return Vec::new();
-        }
         let padded: Vec<Vec<u32>> = windows.iter().map(|w| self.pad_window(w)).collect();
         let refs: Vec<&[u32]> = padded.iter().map(Vec::as_slice).collect();
-        let stacked = self.forward_eval_batch(&refs, ScoreRows::All);
         let m = self.store.value(self.embedding);
-        let scores = stacked.matmul_bt(m);
-        let l = self.cfg.window;
-        (0..windows.len())
-            .map(|w| Self::slice_rows(&scores, w * l, (w + 1) * l))
-            .collect()
+        self.eval_windows(&refs, ScoreRows::All, |o| o.matmul_bt(m))
     }
 
     /// Evaluation forward that also returns the first block's head-averaged
@@ -479,8 +526,10 @@ impl TransDas {
 
     /// The `rows` of one padded window's score matrix: `O . M^T`.
     fn padded_scores(&self, padded: &[u32], rows: ScoreRows) -> Tensor {
-        let o = self.forward_eval_batch(&[padded], rows);
-        o.matmul_bt(self.store.value(self.embedding))
+        let m = self.store.value(self.embedding);
+        self.eval_windows(&[padded], rows, |o| o.matmul_bt(m))
+            .pop()
+            .expect("one window in, one score matrix out")
     }
 
     /// [`TransDas::position_scores`] memoized through an optional

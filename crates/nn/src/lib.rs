@@ -43,4 +43,4 @@ pub mod tensor;
 
 pub use params::{ImportError, Param, ParamId, ParamStore};
 pub use tape::{Tape, Var};
-pub use tensor::Tensor;
+pub use tensor::{AttentionScratch, Tensor};

@@ -48,6 +48,33 @@ fn run_rows(rows: usize, flops: usize, body: impl Fn(usize, usize) + Sync) {
     body(0, rows);
 }
 
+/// Reusable scratch for [`Tensor::masked_attention`] over windows of `len`
+/// keys and heads of `dim` columns: the `dim x len` transposed keys and one
+/// `len`-length score row. Build one per thread and reuse it across
+/// windows and heads.
+pub struct AttentionScratch {
+    len: usize,
+    dim: usize,
+    kt: Vec<f32>,
+    row: Vec<f32>,
+}
+
+impl AttentionScratch {
+    /// Scratch for `len`-key windows and `dim`-column heads.
+    ///
+    /// # Panics
+    /// Panics if `dim` is zero.
+    pub fn new(len: usize, dim: usize) -> Self {
+        assert!(dim > 0, "attention head dimension must be positive");
+        AttentionScratch {
+            len,
+            dim,
+            kt: vec![0.0; dim * len],
+            row: vec![0.0; len],
+        }
+    }
+}
+
 /// A dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
@@ -283,6 +310,97 @@ impl Tensor {
             }
         });
         out
+    }
+
+    /// Fused masked attention for one window and one head:
+    /// `out = softmax_rows(q * k^T * scale + mask) * v`, reading the rows in
+    /// place (they may sit inside larger batched projections) and writing
+    /// `r x d` rows to `out`. `q` and `out` hold `r` rows of `d` columns, `k`
+    /// and `v` the window's `L` rows, `mask` the `r x L` additive mask rows
+    /// matching `q` (`L` and `d` come from `scratch`). `r < L` computes only
+    /// the trailing query rows of the full attention.
+    ///
+    /// Bit-identical per row to the composed reference
+    /// `q.matmul_bt(k).scale(scale).add(mask).softmax_rows().matmul(v)`:
+    /// `k` is transposed once into scratch so `q * k^T` accumulates in the
+    /// i-k-j order of [`Tensor::matmul`] over contiguous keys, which gives
+    /// every score the same k-ascending additions and `q[i,k] == 0.0` skip
+    /// as [`Tensor::matmul_bt`]; scale, mask and the max → exp → sum →
+    /// divide softmax of [`Tensor::softmax_rows`] then run in one reused
+    /// `L`-length row, and `A * v` accumulates exactly as `matmul` does.
+    /// Always runs inline on the calling thread.
+    ///
+    /// # Panics
+    /// Panics if a slice length does not match the shapes above.
+    pub fn masked_attention(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        mask: &[f32],
+        scale: f32,
+        out: &mut [f32],
+        scratch: &mut AttentionScratch,
+    ) {
+        let (l, d) = (scratch.len, scratch.dim);
+        let r = q.len() / d;
+        assert!(
+            q.len() == r * d
+                && k.len() == l * d
+                && v.len() == l * d
+                && mask.len() == r * l
+                && out.len() == r * d,
+            "masked_attention shape mismatch: q {}, k {}, v {}, mask {}, out {} for L={l}, d={d}",
+            q.len(),
+            k.len(),
+            v.len(),
+            mask.len(),
+            out.len()
+        );
+        let kt = &mut scratch.kt;
+        for (j, k_row) in k.chunks_exact(d).enumerate() {
+            for (c, &kv) in k_row.iter().enumerate() {
+                kt[c * l + j] = kv;
+            }
+        }
+        let s = &mut scratch.row;
+        for ((q_row, m_row), o_row) in q
+            .chunks_exact(d)
+            .zip(mask.chunks_exact(l))
+            .zip(out.chunks_exact_mut(d))
+        {
+            s.fill(0.0);
+            for (&a, kt_row) in q_row.iter().zip(kt.chunks_exact(l)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (sj, &b) in s.iter_mut().zip(kt_row) {
+                    *sj += a * b;
+                }
+            }
+            for (sj, &m) in s.iter_mut().zip(m_row) {
+                *sj = *sj * scale + m;
+            }
+            let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            for sj in s.iter_mut() {
+                *sj = (*sj - max).exp();
+                sum += *sj;
+            }
+            if sum > 0.0 {
+                for sj in s.iter_mut() {
+                    *sj /= sum;
+                }
+            }
+            o_row.fill(0.0);
+            for (&a, v_row) in s.iter().zip(v.chunks_exact(d)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in o_row.iter_mut().zip(v_row) {
+                    *o += a * b;
+                }
+            }
+        }
     }
 
     /// Transpose-packed product `self^T * rhs` without materializing the
@@ -657,6 +775,100 @@ mod tests {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    /// Random `rows x cols` tensor with about 25% exact zeros, so the
+    /// kernels' zero-skip branches run.
+    fn sparse_random(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize) -> Tensor {
+        use rand::Rng;
+        let data = (0..rows * cols)
+            .map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn masked_attention_is_bit_identical_to_composed_reference() {
+        use rand::{Rng, SeedableRng};
+        // The model's stand-in for -inf in masked logits.
+        const NEG_INF: f32 = -1e9;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for case in 0..200 {
+            let (l, d, windows) = (
+                rng.gen_range(1..=12),
+                rng.gen_range(1..=9),
+                rng.gen_range(1..=3),
+            );
+            let scale = rng.gen_range(0.1f32..1.5);
+            // Batched projections: window `w` owns rows `[w * l, (w + 1) * l)`.
+            let q_all = sparse_random(&mut rng, windows * l, d);
+            let k_all = sparse_random(&mut rng, windows * l, d);
+            let v_all = sparse_random(&mut rng, windows * l, d);
+            let mut scratch = AttentionScratch::new(l, d);
+            for w in 0..windows {
+                let rows = |t: &Tensor| t.data()[w * l * d..(w + 1) * l * d].to_vec();
+                let (q, k, v) = (rows(&q_all), rows(&k_all), rows(&v_all));
+                // Target-disconnect entries (i, i + 1) plus whole padding
+                // columns, each row keeping its own diagonal.
+                let mut mask = Tensor::zeros(l, l);
+                for i in 0..l.saturating_sub(1) {
+                    mask.set(i, i + 1, NEG_INF);
+                }
+                for j in 0..l {
+                    if rng.gen_range(0..3) == 0 {
+                        for i in (0..l).filter(|&i| i != j) {
+                            mask.set(i, j, NEG_INF);
+                        }
+                    }
+                }
+                let reference = Tensor::from_vec(l, d, q.clone())
+                    .matmul_bt(&Tensor::from_vec(l, d, k.clone()))
+                    .scale(scale)
+                    .add(&mask)
+                    .softmax_rows()
+                    .matmul(&Tensor::from_vec(l, d, v.clone()));
+                for q0 in [0, l - 1] {
+                    let mut out = vec![f32::NAN; (l - q0) * d];
+                    Tensor::masked_attention(
+                        &q_all.data()[(w * l + q0) * d..(w + 1) * l * d],
+                        &k,
+                        &v,
+                        &mask.data()[q0 * l..],
+                        scale,
+                        &mut out,
+                        &mut scratch,
+                    );
+                    let want: Vec<u32> = reference.data()[q0 * d..]
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .collect();
+                    let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "case {case}: L={l} d={d} w={w} q0={q0}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "masked_attention shape mismatch")]
+    fn masked_attention_rejects_bad_shapes() {
+        let mut scratch = AttentionScratch::new(3, 2);
+        let mut out = vec![0.0; 6];
+        Tensor::masked_attention(
+            &[0.0; 6],
+            &[0.0; 6],
+            &[0.0; 4],
+            &[0.0; 9],
+            1.0,
+            &mut out,
+            &mut scratch,
+        );
     }
 
     #[test]

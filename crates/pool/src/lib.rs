@@ -17,8 +17,8 @@
 //!    `UCAD_THREADS` is unset on a single-core host), when the range is
 //!    below the chunk grain, when the pool is already running a job
 //!    (nested or concurrent dispatch), or when called from inside a pool
-//!    worker, the closure runs inline as `f(0, len)` — one branch of
-//!    overhead, no locks.
+//!    worker or an [`inline`] scope, the closure runs inline as
+//!    `f(0, len)` — one branch of overhead, no locks.
 //! 3. **Caller participation**: the dispatching thread grabs chunks from
 //!    the same atomic cursor as the workers, so a pool is never slower
 //!    than sequential by more than the cost of a handful of atomic ops.
@@ -101,10 +101,10 @@ pub struct Pool {
 }
 
 thread_local! {
-    /// Set while this thread is executing pool chunks, so a kernel called
-    /// from inside a job degrades to inline execution instead of
-    /// re-dispatching (the busy flag would catch it too, but this avoids
-    /// even the CAS).
+    /// Set while this thread is executing pool chunks (or runs an
+    /// [`inline`] scope), so a kernel called from inside a job degrades to
+    /// inline execution instead of re-dispatching (the busy flag would
+    /// catch it too, but this avoids even the CAS).
     static IN_WORKER: RefCell<bool> = const { RefCell::new(false) };
     /// Per-thread pool override installed by [`with_pool`]; tests use it to
     /// exercise kernels at several thread counts inside one process.
@@ -157,7 +157,7 @@ impl Pool {
     ///
     /// Falls back to a single inline `f(0, len)` call when the pool has one
     /// thread, the range is a single chunk, the caller is itself a pool
-    /// worker, or another job is already running.
+    /// worker or inside [`inline`], or another job is already running.
     ///
     /// # Panics
     /// Re-throws the first panic raised inside `f` after all chunks finish.
@@ -346,9 +346,44 @@ pub fn with_pool<R>(pool: Arc<Pool>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `f` with every [`Pool::parallel_for`] on this thread executing
+/// inline, exactly as if the thread were a pool worker. For callers that
+/// parallelise at a coarser grain themselves, or that must not contend
+/// for the pool (serving shard workers scoring one window). Nests and
+/// unwinds safely (the previous state is restored on panic).
+pub fn inline<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| *w.borrow_mut() = self.0);
+        }
+    }
+    let prev = IN_WORKER.with(|w| std::mem::replace(&mut *w.borrow_mut(), true));
+    let _restore = Restore(prev);
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inline_degrades_dispatch_and_restores() {
+        let pool = Pool::new(4);
+        let calls = Mutex::new(Vec::new());
+        inline(|| {
+            pool.parallel_for(64, 1, |start, end| calls.lock().unwrap().push((start, end)));
+            // Nested scopes keep the thread inline and restore on exit.
+            inline(|| {});
+            pool.parallel_for(8, 1, |start, end| calls.lock().unwrap().push((start, end)));
+        });
+        assert_eq!(*calls.lock().unwrap(), vec![(0, 64), (0, 8)]);
+        assert!(!IN_WORKER.with(|w| *w.borrow()));
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| inline(|| panic!("boom"))));
+        assert!(unwound.is_err());
+        assert!(!IN_WORKER.with(|w| *w.borrow()));
+        assert!(cover(&pool, 64, 1).iter().all(|&h| h == 1));
+    }
 
     fn cover(pool: &Pool, len: usize, min_chunk: usize) -> Vec<usize> {
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();

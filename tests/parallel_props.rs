@@ -1,9 +1,15 @@
 //! Property walls for the parallel compute backend and batched detection:
 //! the blocked matmul kernels must be *bit-identical* to their scalar
-//! references at every thread count, [`Detector::detect_batch`] must agree
+//! references at every thread count, the window-parallel batched forward
+//! must be bit-identical to per-window scoring at every chunk boundary and
+//! count each window once, [`Detector::detect_batch`] must agree
 //! verdict-for-verdict with sequential per-session detection, and batched
 //! scoring must populate the exact [`ScoreCache`] keys streaming detection
 //! looks up.
+//!
+//! Every test that runs a forward holds [`forward_lock`], so the
+//! process-wide `ucad_model_forward_total` counter only moves under the
+//! test reading it.
 //!
 //! [`Detector::detect_batch`]: ucad_model::Detector::detect_batch
 //! [`ScoreCache`]: ucad_model::ScoreCache
@@ -11,10 +17,30 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, OnceLock};
-use ucad_model::{DetectionMode, Detector, DetectorConfig, ScoreCache, TransDas, TransDasConfig};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use ucad_model::model::EVAL_CHUNK;
+use ucad_model::{
+    DetectionMode, Detector, DetectorConfig, MaskMode, ScoreCache, TransDas, TransDasConfig,
+};
 use ucad_nn::Tensor;
 use ucad_pool::{with_pool, Pool};
+
+/// Serializes the tests that run forwards (see the module docs).
+fn forward_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the counter it guards is still valid.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn forwards_total() -> u64 {
+    ucad_obs::global()
+        .counter("ucad_model_forward_total", &[])
+        .get()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
 
 /// Shared pools at the thread counts the wall sweeps; built once so the
 /// proptest cases do not spawn threads per case.
@@ -111,6 +137,7 @@ proptest! {
         top_p in 1usize..=4,
         block in any::<bool>(),
     ) {
+        let _lock = forward_lock();
         let model = tiny_model();
         let mode = if block {
             DetectionMode::Block
@@ -135,6 +162,7 @@ proptest! {
 
 #[test]
 fn batched_scoring_populates_streaming_cache_keys() {
+    let _lock = forward_lock();
     let model = tiny_model();
     let detector = Detector::new(model, DetectorConfig::scenario1());
     let mut rng = StdRng::seed_from_u64(99);
@@ -176,4 +204,91 @@ fn batched_scoring_populates_streaming_cache_keys() {
         "sequential lookup missed a key the batched pass should have populated"
     );
     assert_eq!(after_seq.len, after_second.len);
+}
+
+/// Random unpadded windows: 0..=10 keys from `0..8`, so windows are both
+/// front-padded and truncated and some carry `k0` inside.
+fn random_windows(rng: &mut StdRng, n: usize) -> Vec<Vec<u32>> {
+    (0..n)
+        .map(|_| {
+            let len = rng.gen_range(0..=10);
+            (0..len).map(|_| rng.gen_range(0u32..8)).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn batched_eval_is_bit_identical_to_per_window_at_chunk_boundaries() {
+    let _lock = forward_lock();
+    let model = tiny_model();
+    let mut rng = StdRng::seed_from_u64(18);
+    let c = EVAL_CHUNK;
+    for n in [1, c - 1, c, c + 1, 3 * c + 5] {
+        let windows = random_windows(&mut rng, n);
+        let refs: Vec<&[u32]> = windows.iter().map(Vec::as_slice).collect();
+        let want_scores: Vec<Vec<u32>> = refs
+            .iter()
+            .map(|w| bits(&model.position_scores(w)))
+            .collect();
+        let want_outputs: Vec<Vec<u32>> = refs.iter().map(|w| bits(&model.output(w))).collect();
+        for pool in pools() {
+            with_pool(Arc::clone(pool), || {
+                let threads = pool.threads();
+                let before = forwards_total();
+                let scores = model.position_scores_batch(&refs);
+                assert_eq!(
+                    forwards_total() - before,
+                    n as u64,
+                    "position_scores_batch of {n} windows at {threads} threads"
+                );
+                let got: Vec<Vec<u32>> = scores.iter().map(bits).collect();
+                assert_eq!(got, want_scores, "scores: n={n}, threads={threads}");
+
+                let before = forwards_total();
+                let outputs = model.forward_batch(&refs);
+                assert_eq!(
+                    forwards_total() - before,
+                    n as u64,
+                    "forward_batch of {n} windows at {threads} threads"
+                );
+                let got: Vec<Vec<u32>> = outputs.iter().map(bits).collect();
+                assert_eq!(got, want_outputs, "outputs: n={n}, threads={threads}");
+            });
+        }
+    }
+}
+
+#[test]
+fn next_scores_is_the_last_row_under_every_mask_mode() {
+    let _lock = forward_lock();
+    let mut rng = StdRng::seed_from_u64(5);
+    let contexts = random_windows(&mut rng, 24);
+    for mask in [MaskMode::TransDas, MaskMode::Causal, MaskMode::Full] {
+        // Two blocks, so the last-row forward narrows a block that is fed
+        // by a full one.
+        let model = TransDas::new(TransDasConfig {
+            hidden: 4,
+            heads: 2,
+            blocks: 2,
+            window: 6,
+            threads: 1,
+            mask,
+            ..TransDasConfig::scenario1(8)
+        });
+        for pool in pools() {
+            with_pool(Arc::clone(pool), || {
+                for ctx in &contexts {
+                    let full = model.position_scores(ctx);
+                    let last: Vec<u32> = full
+                        .row(full.rows() - 1)
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    let next: Vec<u32> =
+                        model.next_scores(ctx).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(next, last, "{mask:?}, context {ctx:?}");
+                }
+            });
+        }
+    }
 }
