@@ -38,6 +38,7 @@ pub mod experiment;
 pub mod metrics;
 pub mod online;
 pub mod serve;
+pub mod serve_core;
 pub mod sweep;
 pub mod system;
 

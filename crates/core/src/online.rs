@@ -175,8 +175,8 @@ impl SessionTracker {
     }
 
     /// Whether `session_id` is currently active in this partition — used by
-    /// shard supervision to truncate a replayed write-ahead log down to the
-    /// entries still needed for a future rebuild.
+    /// shard supervision to truncate a replayed ring down to the entries
+    /// still needed for a future rebuild.
     pub(crate) fn has_session(&self, session_id: u64) -> bool {
         self.active.contains_key(&session_id)
     }
@@ -454,7 +454,7 @@ pub(crate) struct SessionState {
 
 /// The durable image of a whole [`SessionTracker`] partition, sessions
 /// sorted by id (see [`SessionTracker::export_state`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct TrackerState {
     pub(crate) sessions: Vec<SessionState>,
     pub(crate) verified_normals: Vec<Vec<u32>>,

@@ -1,17 +1,19 @@
 //! Sharded online detection service: the ROADMAP's "heavy traffic" serving
 //! layer around [`OnlineUcad`]'s single-threaded deployment loop.
 //!
-//! Records are routed by a seeded hash of their `session_id` onto `N`
-//! shards, each a worker `std::thread` owning one session partition (a
-//! [`SessionTracker`], the same engine [`OnlineUcad`] runs on) behind a
-//! bounded queue. Because sessions are partitioned — never split across
-//! shards — and every scoring discipline is a pure function of a session's
-//! own record sequence, the alert *set* is independent of the shard count
-//! and of worker timing. Ordering is restored at drain time: every record
-//! carries a global arrival sequence number, an alert inherits the sequence
-//! number of the record that triggered it, and [`ShardedOnlineUcad::
-//! drain_alerts`] flushes all queues and sorts by that number. The result:
-//! N-shard output is byte-identical to the single-threaded path.
+//! [`ShardedOnlineUcad`] is the single-route front of the shard worker core
+//! ([`crate::serve_core`]), which `ucad-tenant`'s pool shares. Records are
+//! routed by a seeded hash of their `session_id` onto `N` shards, each a
+//! worker `std::thread` owning one session partition (a [`SessionTracker`],
+//! the same engine [`OnlineUcad`] runs on) behind a bounded queue. Because
+//! sessions are partitioned — never split across shards — and every scoring
+//! discipline is a pure function of a session's own record sequence, the
+//! alert *set* is independent of the shard count and of worker timing.
+//! Ordering is restored at drain time: every record carries a global arrival
+//! sequence number, an alert inherits the sequence number of the record that
+//! triggered it, and [`ShardedOnlineUcad::drain_alerts`] flushes all queues
+//! and sorts by that number. The result: N-shard output is byte-identical to
+//! the single-threaded path.
 //!
 //! Two levers trade latency for throughput:
 //!
@@ -29,22 +31,22 @@
 //! # Fault tolerance
 //!
 //! A worker thread that panics mid-stream does **not** take its partition
-//! down. Every accepted message is first appended to a per-shard
-//! write-ahead snapshot ring (the *WAL*) that lives on the engine side of
-//! the channel, and the worker publishes a processed-message watermark as
-//! it goes. When the engine notices a dead worker — a failed channel send,
-//! or the liveness check every [`ShardedOnlineUcad::flush`] performs — it
-//! *supervises* the shard: the panic is captured and counted, the WAL is
-//! replayed into a fresh [`SessionTracker`] (entries below the watermark
-//! rebuild state silently; entries above it — the messages the crash ate —
-//! are processed for real, alerts, metrics and all, under the model epoch
-//! they were submitted against), and a new worker is spawned on the rebuilt
-//! tracker. The restarted shard is byte-identical to one that never
-//! crashed: no accepted record is lost, no record is scored twice, and
-//! drained alerts keep their global sequence order. Deterministic crash and
-//! overload scenarios can be injected with `ucad-fault` (the `UCAD_FAULTS`
-//! environment variable); the chaos wall in `tests/chaos_serve.rs` holds
-//! these invariants under seeded fault plans.
+//! down. Every accepted operation is first appended to a per-shard in-memory
+//! replay ring on the front side of the channel, together with its route
+//! (the model it was submitted under), and the worker publishes a
+//! processed-operation watermark as it goes. When the engine notices a dead
+//! worker — a failed channel send, or the liveness check every
+//! [`ShardedOnlineUcad::flush`] performs — it *supervises* the shard: the
+//! panic is captured and counted, the ring is replayed into a fresh
+//! [`SessionTracker`] (entries below the watermark rebuild state silently;
+//! entries above it — the operations the crash ate — are processed for real,
+//! alerts, metrics and all, under the model they were submitted against),
+//! and a new worker is spawned on the rebuilt tracker. The restarted shard
+//! is byte-identical to one that never crashed: no accepted record is lost,
+//! no record is scored twice, and drained alerts keep their global sequence
+//! order. Deterministic crash and overload scenarios can be injected with
+//! `ucad-fault` (the `UCAD_FAULTS` environment variable); the chaos wall in
+//! `tests/chaos_serve.rs` holds these invariants under seeded fault plans.
 //!
 //! # Durability and crash recovery
 //!
@@ -74,17 +76,14 @@
 //! [`OnlineUcad`]: crate::online::OnlineUcad
 //! [`SessionTracker`]: crate::online::SessionTracker
 
-use crate::admission::{merge_seq_sorted, splitmix64};
-use crate::online::{Alert, AlertReason, RaisedAlert, ServeObserver, SessionTracker, TrackerState};
+use crate::online::{Alert, AlertReason, ServeObserver, TrackerState};
+use crate::serve_core::{lock, Op, OutboxAlert, Route, RoutedOp, ShardCore, ShardSeries, Trackers};
 use crate::system::Ucad;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 use ucad_baselines::NgramLm;
 use ucad_dbsim::LogRecord;
 use ucad_model::{CacheStats, DetectionMode, ScoreCache, TransDas, UcadError};
@@ -94,15 +93,8 @@ use ucad_obs::{
 };
 use ucad_wal::{SegmentedWal, SnapshotStore, WalMetrics, WalOptions};
 
-/// Locks a mutex, recovering the guard when a panicking worker poisoned it
-/// (the protected structures are always left in a consistent state: every
-/// critical section is a push, pop or retain that cannot be observed
-/// half-done).
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// The engine's one route serves tenant 0 (routing salt 0).
+const TENANT: u64 = 0;
 
 /// What the engine does when a record arrives for a shard whose queue is
 /// full (or whose saturation is forced by an armed `ucad-fault` plan).
@@ -184,6 +176,20 @@ impl ServeConfig {
             cfg: Self::default(),
         }
     }
+
+    /// Rejects the structurally invalid configurations every front refuses.
+    pub fn validate(&self) -> Result<(), UcadError> {
+        if self.shards == 0 {
+            return Err(UcadError::invalid("shards", "at least one shard required"));
+        }
+        if self.queue_capacity == 0 {
+            return Err(UcadError::invalid(
+                "queue_capacity",
+                "a zero-capacity queue would deadlock submission",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`ServeConfig`]; validates on [`ServeConfigBuilder::build`].
@@ -237,15 +243,7 @@ impl ServeConfigBuilder {
 
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<ServeConfig, UcadError> {
-        if self.cfg.shards == 0 {
-            return Err(UcadError::invalid("shards", "at least one shard required"));
-        }
-        if self.cfg.queue_capacity == 0 {
-            return Err(UcadError::invalid(
-                "queue_capacity",
-                "a zero-capacity queue would deadlock submission",
-            ));
-        }
+        self.cfg.validate()?;
         Ok(self.cfg)
     }
 }
@@ -342,7 +340,7 @@ pub struct ShutdownReport {
     pub verified_normals: Vec<Vec<u32>>,
     /// Worker threads that died of a panic, as `(shard id, panic message)`
     /// — captured by supervision mid-run or by the final join. A panicked
-    /// shard loses nothing: supervision replays its write-ahead log, so
+    /// shard loses nothing: supervision replays the shard's ring, so
     /// alerts, feedback and record counts match a crash-free run.
     pub worker_panics: Vec<(usize, String)>,
     /// Shard workers supervision respawned over the engine's lifetime.
@@ -352,96 +350,8 @@ pub struct ShutdownReport {
     pub flight: Vec<FlightEntry>,
 }
 
-enum Msg {
-    /// A routed record with its global arrival sequence number, the shard
-    /// queue depth observed at enqueue time, and the enqueue instant — the
-    /// record's trace context. The worker derives queue-wait latency from
-    /// the instant; it never influences scoring, so tracing cannot perturb
-    /// the alert stream.
-    Record(Arc<LogRecord>, u64, usize, Instant),
-    Close(u64, usize),
-    FalseAlarm(u64),
-    /// Barrier: every message sent before this one has been processed once
-    /// the acknowledgement arrives (per-shard queues are FIFO).
-    Flush(SyncSender<()>),
-    /// Model hot-swap: the worker replaces its shared system handle. Sent
-    /// after a flush barrier, so everything submitted before the swap was
-    /// scored by the old model and (FIFO) everything after it by the new.
-    Swap(Arc<Ucad>),
-    /// State export barrier: the worker answers with its tracker's full
-    /// session state (used to build durable snapshots). Like `Flush`, it
-    /// carries no session state of its own and is never logged.
-    Export(SyncSender<TrackerState>),
-    Shutdown,
-    /// Test hook: makes the worker panic, exercising the supervision and
-    /// shutdown panic-capture paths.
-    #[cfg(test)]
-    Panic,
-}
-
-/// Payload of one write-ahead log entry — the engine-side copy of a
-/// stateful message, sufficient to re-derive the worker's entire effect.
-/// Flush/swap barriers are not logged: they carry no session state.
-#[derive(Clone)]
-enum WalMsg {
-    /// A record and its global arrival sequence number.
-    Record(Arc<LogRecord>, u64),
-    Close(u64),
-    FalseAlarm(u64),
-}
-
-/// One entry of a shard's write-ahead log.
-#[derive(Clone)]
-struct WalEntry {
-    /// Position in the shard's processing order. Appends are contiguous
-    /// and per-shard queues are FIFO, so `idx < watermark` ⟺ the worker
-    /// fully processed this entry before it (last) crashed.
-    idx: u64,
-    /// Model epoch the entry was submitted under; replay scores it with
-    /// exactly that model, so a crash straddling a hot-swap still rebuilds
-    /// byte-identical state.
-    epoch: u64,
-    session_id: u64,
-    msg: WalMsg,
-}
-
-/// Per-shard write-ahead snapshot ring. The engine appends before every
-/// send; the worker truncates a session's entries once it closes (they can
-/// never be needed again); supervision replays what remains.
-#[derive(Default)]
-struct Wal {
-    entries: Vec<WalEntry>,
-    /// Index the next appended entry receives; equals the count of entries
-    /// ever appended (pops of never-sent entries roll it back).
-    next_idx: u64,
-}
-
-impl Wal {
-    fn append(&mut self, epoch: u64, session_id: u64, msg: WalMsg) -> u64 {
-        let idx = self.next_idx;
-        self.next_idx += 1;
-        self.entries.push(WalEntry {
-            idx,
-            epoch,
-            session_id,
-            msg,
-        });
-        idx
-    }
-
-    /// Removes the just-appended entry `idx` after its send was refused
-    /// (shed or degraded record), rolling `next_idx` back so the log stays
-    /// contiguous with the worker's count-based watermark. Only the engine
-    /// appends and submission is serialized, so `idx` is always the tail.
-    fn pop_unsent(&mut self, idx: u64) {
-        debug_assert_eq!(self.entries.last().map(|e| e.idx), Some(idx));
-        self.entries.pop();
-        self.next_idx = idx;
-    }
-}
-
 /// One durable (on-disk) log record of a shard, JSON-encoded inside the
-/// WAL's CRC frame. The disk analogue of [`WalMsg`], with two differences:
+/// WAL's CRC frame. The disk form of an [`Op`], with two differences:
 /// entries carry their model epoch inline, and a refused send cannot *pop*
 /// an already-written entry — it appends a [`DurableEntry::Revoke`] instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -546,271 +456,6 @@ struct DurableState {
     appends_since_snapshot: u64,
 }
 
-/// One undrained alert with its trace context: the global sequence of the
-/// triggering record and the instant it was raised (for drain-delay
-/// attribution; `None` for alerts restored from a durable snapshot, whose
-/// raise instant belongs to a previous process life).
-struct OutboxAlert {
-    seq: u64,
-    raised_at: Option<Instant>,
-    alert: Alert,
-}
-
-#[derive(Default)]
-struct Outbox {
-    alerts: Vec<OutboxAlert>,
-}
-
-/// Supervision base installed by a durable snapshot (and by recovery): the
-/// state an in-memory replay starts from instead of an empty tracker, so
-/// the in-memory log can be pruned below it.
-#[derive(Clone)]
-struct BaseState {
-    /// In-memory log index the state covers up to (exclusive); entries
-    /// below it are folded into `state` and pruned.
-    idx: u64,
-    /// Session ids open in `state`. Their later log entries — including the
-    /// eventual close — must survive pruning until the base advances past
-    /// them, or a replay would resurrect the session.
-    open: HashSet<u64>,
-    state: TrackerState,
-}
-
-/// The engine-side shared state of one shard: everything that must survive
-/// a worker crash, plus the shard's pre-fetched registry handles (the hot
-/// loop never takes the registry mutex).
-#[derive(Clone)]
-struct ShardHandles {
-    outbox: Arc<Mutex<Outbox>>,
-    wal: Arc<Mutex<Wal>>,
-    /// Count of stateful messages the worker has fully processed — the
-    /// replay watermark. Bumped only after an entry's complete effect
-    /// (metrics, alerts, feedback) has landed, so a crash mid-message
-    /// replays it exactly once.
-    processed: Arc<AtomicU64>,
-    /// Verified-normal feedback, exported by the worker immediately on
-    /// session close so a later crash cannot lose it.
-    feedback: Arc<Mutex<Vec<Vec<u32>>>>,
-    /// Supervision base; `None` until a snapshot or recovery installs one.
-    base: Arc<Mutex<Option<BaseState>>>,
-    records: Counter,
-    alerts: Counter,
-    queue_depth: Gauge,
-    score_latency: Histogram,
-    /// Engine-wide queue-wait stage histogram
-    /// (`ucad_latency_queue_wait_seconds`) — one series shared by every
-    /// shard, cloned into the handles so the hot loop stays registry-free.
-    queue_wait: Histogram,
-    /// Engine-wide scoring stage histogram (`ucad_latency_score_seconds`),
-    /// the unlabeled cross-shard companion of `score_latency`.
-    latency_score: Histogram,
-}
-
-/// The restartable half of a shard: the channel sender and the worker's
-/// join handle, swapped out together when supervision respawns the worker.
-struct ShardLink {
-    tx: SyncSender<Msg>,
-    handle: Option<JoinHandle<SessionTracker>>,
-}
-
-struct Shard {
-    link: Mutex<ShardLink>,
-    h: ShardHandles,
-}
-
-/// Books a raised alert: the outbox (for deterministic draining), the
-/// alert counter, the flight recorder, and — when `UCAD_OBS` is on — a
-/// structured event line. Shared by the worker hot loop and supervision
-/// replay, so a replayed alert is booked exactly like a live one.
-fn book_alert(
-    h: &ShardHandles,
-    shard: usize,
-    flight: &FlightRecorder,
-    observer: Option<&dyn ServeObserver>,
-    raised: RaisedAlert,
-    queue_depth: usize,
-    queue_wait_us: Option<f64>,
-) {
-    h.alerts.inc();
-    let reason = format!("{:?}", raised.alert.reason);
-    flight.record(FlightEntry {
-        seq: raised.seq,
-        session_id: raised.alert.session_id,
-        shard,
-        tenant: None,
-        reason: reason.clone(),
-        position: raised.alert.position,
-        rank: raised.rank,
-        score: raised.score,
-        cache_hit: raised.cache_hit,
-        queue_depth,
-        queue_wait_us,
-        drain_delay_us: None,
-        key_window: raised.key_window,
-    });
-    ucad_obs::event(
-        "serve.alert",
-        &[
-            ("session_id", raised.alert.session_id.to_string()),
-            ("shard", shard.to_string()),
-            ("reason", reason),
-            ("seq", raised.seq.to_string()),
-        ],
-    );
-    if let Some(observer) = observer {
-        observer.on_alert(&raised.alert);
-    }
-    lock(&h.outbox).alerts.push(OutboxAlert {
-        seq: raised.seq,
-        raised_at: Some(Instant::now()),
-        alert: raised.alert,
-    });
-}
-
-/// The immutable-per-spawn inputs of a worker thread (the system handle is
-/// replaced in place by a hot-swap message).
-struct WorkerSpec {
-    shard: usize,
-    system: Arc<Ucad>,
-    cache: Option<Arc<ScoreCache>>,
-    flight: Arc<FlightRecorder>,
-    observer: Option<Arc<dyn ServeObserver>>,
-}
-
-fn spawn_worker(
-    spec: WorkerSpec,
-    h: ShardHandles,
-    queue_capacity: usize,
-    tracker: SessionTracker,
-) -> ShardLink {
-    let (tx, rx) = sync_channel(queue_capacity.max(1));
-    let handle = std::thread::spawn(move || worker(rx, spec, h, tracker));
-    ShardLink {
-        tx,
-        handle: Some(handle),
-    }
-}
-
-fn worker(
-    rx: Receiver<Msg>,
-    mut spec: WorkerSpec,
-    h: ShardHandles,
-    mut tracker: SessionTracker,
-) -> SessionTracker {
-    let observer = spec.observer.clone();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Msg::Record(record, seq, depth, enqueued) => {
-                // Fault hook first: an injected crash eats the message
-                // before any of its effects land, so supervision replays
-                // it exactly once.
-                ucad_fault::on_worker_record(spec.shard);
-                h.records.inc();
-                h.queue_depth.add(-1.0);
-                let queue_wait = enqueued.elapsed().as_secs_f64();
-                h.queue_wait.observe(queue_wait);
-                let start = Instant::now();
-                let raised = tracker.ingest(
-                    &spec.system,
-                    spec.cache.as_deref(),
-                    observer.as_deref(),
-                    &record,
-                    seq,
-                );
-                let score_secs = start.elapsed().as_secs_f64();
-                h.score_latency.observe(score_secs);
-                h.latency_score.observe(score_secs);
-                if let Some(raised) = raised {
-                    book_alert(
-                        &h,
-                        spec.shard,
-                        &spec.flight,
-                        observer.as_deref(),
-                        raised,
-                        depth,
-                        Some(queue_wait * 1e6),
-                    );
-                }
-                if let Some(observer) = observer.as_deref() {
-                    observer.on_scored(seq);
-                }
-                h.processed.fetch_add(1, Ordering::SeqCst);
-            }
-            Msg::Close(session_id, depth) => {
-                h.queue_depth.add(-1.0);
-                if let Some(raised) = tracker.close(
-                    &spec.system,
-                    spec.cache.as_deref(),
-                    observer.as_deref(),
-                    session_id,
-                ) {
-                    // Close-raised alerts carry no per-record queue wait —
-                    // the control message's residency is not the record's.
-                    book_alert(
-                        &h,
-                        spec.shard,
-                        &spec.flight,
-                        observer.as_deref(),
-                        raised,
-                        depth,
-                        None,
-                    );
-                }
-                let mut normals = tracker.take_verified_normals();
-                if !normals.is_empty() {
-                    lock(&h.feedback).append(&mut normals);
-                }
-                let now = h.processed.fetch_add(1, Ordering::SeqCst) + 1;
-                // The session is gone; its log entries can never be needed
-                // by a replay again. Entries at or above the watermark
-                // belong to a re-opened session with the same id — keep.
-                // Exception: the supervision base still lists the session
-                // open, so replay starts before this close — pruning its
-                // entries (this close included) would resurrect it. Keep
-                // them until the next snapshot refreshes the base.
-                let base_open = lock(&h.base)
-                    .as_ref()
-                    .is_some_and(|b| b.open.contains(&session_id));
-                if !base_open {
-                    lock(&h.wal)
-                        .entries
-                        .retain(|e| e.session_id != session_id || e.idx >= now);
-                }
-            }
-            Msg::FalseAlarm(session_id) => {
-                h.queue_depth.add(-1.0);
-                tracker.confirm_false_alarm(session_id);
-                let mut normals = tracker.take_verified_normals();
-                if !normals.is_empty() {
-                    lock(&h.feedback).append(&mut normals);
-                }
-                let now = h.processed.fetch_add(1, Ordering::SeqCst) + 1;
-                let base_open = lock(&h.base)
-                    .as_ref()
-                    .is_some_and(|b| b.open.contains(&session_id));
-                if !base_open {
-                    lock(&h.wal)
-                        .entries
-                        .retain(|e| e.session_id != session_id || e.idx >= now);
-                }
-            }
-            Msg::Flush(ack) => {
-                let _ = ack.send(());
-            }
-            Msg::Export(ack) => {
-                let _ = ack.send(tracker.export_state());
-            }
-            Msg::Swap(system) => {
-                spec.system = system;
-            }
-            Msg::Shutdown => break,
-            #[cfg(test)]
-            Msg::Panic => panic!("injected worker panic"),
-        }
-    }
-    tracker
-}
-
 /// Per-session shadow state the engine keeps under
 /// [`OverloadPolicy::Degrade`], fed on every submit so the fallback model
 /// has full context when saturation forces it to score.
@@ -835,18 +480,13 @@ struct DegradeState {
 /// counters. [`ServeStats`] and [`CacheStats`] are views over the same
 /// registry cells, so snapshots and the Prometheus exposition always agree.
 pub struct ShardedOnlineUcad {
-    system: Arc<Ucad>,
-    /// Every model epoch ever served, indexed by epoch number. Supervision
-    /// replay scores each write-ahead entry with the model it was
-    /// originally submitted under; the list grows by one Arc per hot-swap.
-    systems: Vec<Arc<Ucad>>,
-    cache: Option<Arc<ScoreCache>>,
+    /// The route every submission carries: the serving system, the shared
+    /// score memo and the observer. A hot swap replaces it.
+    route: Arc<Route>,
+    core: ShardCore,
     registry: Arc<Registry>,
     flight: Arc<FlightRecorder>,
-    observer: Option<Arc<dyn ServeObserver>>,
     degrade: Option<DegradeState>,
-    worker_panics: Counter,
-    worker_restarts: Counter,
     records_shed: Counter,
     records_degraded: Counter,
     swaps: Counter,
@@ -857,20 +497,11 @@ pub struct ShardedOnlineUcad {
     /// Raised-to-drained alert delay (`ucad_latency_drain_delay_seconds`),
     /// observed for every delivered alert at drain time.
     drain_delay_latency: Histogram,
-    /// Panic messages captured by supervision and the final shutdown join,
-    /// in capture order.
-    panic_log: Mutex<Vec<(usize, String)>>,
-    shards: Vec<Shard>,
     cfg: ServeConfig,
     next_seq: u64,
     /// Model epoch: 0 for the model the engine started with, +1 per
     /// completed [`ShardedOnlineUcad::swap_model`].
     epoch: u64,
-    /// Epoch the engine's `systems[0]` corresponds to: 0 for a fresh
-    /// engine, the recovered epoch after [`ShardedOnlineUcad::recover`]
-    /// (pre-recovery models are gone; replay of an older-epoch entry clamps
-    /// to the oldest model still held).
-    epoch_base: u64,
     /// Durable state; `None` for in-memory-only engines.
     durable: Option<DurableState>,
 }
@@ -976,108 +607,70 @@ impl ShardedOnlineUcad {
         let system = Arc::new(system);
         let cache = (cfg.cache_capacity > 0).then(|| Arc::new(ScoreCache::new(cfg.cache_capacity)));
         let registry = Arc::new(Registry::new());
-        registry.describe(
-            "ucad_serve_records_total",
-            MetricKind::Counter,
-            "Records accepted per shard",
-        );
-        registry.describe(
-            "ucad_serve_alerts_total",
-            MetricKind::Counter,
-            "Alerts raised per shard",
-        );
-        registry.describe(
-            "ucad_serve_queue_depth",
-            MetricKind::Gauge,
-            "Messages enqueued on a shard but not yet processed",
-        );
-        registry.describe(
-            "ucad_serve_score_duration_seconds",
-            MetricKind::Histogram,
-            "Per-record scoring latency (policy screen + model forward)",
-        );
-        registry.describe(
-            "ucad_latency_queue_wait_seconds",
-            MetricKind::Histogram,
-            "Time a record spent in its shard queue between enqueue and scoring",
-        );
-        registry.describe(
-            "ucad_latency_score_seconds",
-            MetricKind::Histogram,
-            "Per-record scoring stage latency, engine-wide across shards",
-        );
-        registry.describe(
-            "ucad_latency_wal_append_seconds",
-            MetricKind::Histogram,
-            "Durable WAL append latency on the submit path",
-        );
-        registry.describe(
-            "ucad_latency_drain_delay_seconds",
-            MetricKind::Histogram,
-            "Delay between an alert being raised and the drain that delivered it",
-        );
-        registry.describe(
-            "ucad_serve_worker_panics_total",
-            MetricKind::Counter,
-            "Worker threads that died of a panic",
-        );
-        registry.describe(
-            "ucad_serve_worker_restarts_total",
-            MetricKind::Counter,
-            "Shard workers respawned by supervision after a panic",
-        );
-        registry.describe(
-            "ucad_serve_records_shed_total",
-            MetricKind::Counter,
-            "Records dropped by the ShedNewest overload policy",
-        );
-        registry.describe(
-            "ucad_serve_records_degraded_total",
-            MetricKind::Counter,
-            "Records scored by the degraded-mode fallback instead of the model",
-        );
-        registry.describe(
-            "ucad_serve_swaps_total",
-            MetricKind::Counter,
-            "Completed model hot-swaps",
-        );
-        registry.describe(
-            "ucad_serve_model_epoch",
-            MetricKind::Gauge,
-            "Model epoch currently serving (0 = the model the engine started with)",
-        );
-        registry.describe(
-            "ucad_wal_segments_total",
-            MetricKind::Counter,
-            "Durable WAL segment files opened for appending",
-        );
-        registry.describe(
-            "ucad_wal_fsyncs_total",
-            MetricKind::Counter,
-            "Durable WAL fsync barriers issued",
-        );
-        registry.describe(
-            "ucad_wal_appends_total",
-            MetricKind::Counter,
-            "Records appended to the durable WAL",
-        );
-        registry.describe(
-            "ucad_wal_replayed_records_total",
-            MetricKind::Counter,
-            "Durable WAL records replayed during crash recovery",
-        );
-        registry.describe(
-            "ucad_serve_recoveries_total",
-            MetricKind::Counter,
-            "Engine constructions that recovered prior durable state",
-        );
+        for (name, kind, help) in [
+            (
+                "ucad_latency_wal_append_seconds",
+                MetricKind::Histogram,
+                "Durable WAL append latency on the submit path",
+            ),
+            (
+                "ucad_latency_drain_delay_seconds",
+                MetricKind::Histogram,
+                "Delay between an alert being raised and the drain that delivered it",
+            ),
+            (
+                "ucad_serve_records_shed_total",
+                MetricKind::Counter,
+                "Records dropped by the ShedNewest overload policy",
+            ),
+            (
+                "ucad_serve_records_degraded_total",
+                MetricKind::Counter,
+                "Records scored by the degraded-mode fallback instead of the model",
+            ),
+            (
+                "ucad_serve_swaps_total",
+                MetricKind::Counter,
+                "Completed model hot-swaps",
+            ),
+            (
+                "ucad_serve_model_epoch",
+                MetricKind::Gauge,
+                "Model epoch currently serving (0 = the model the engine started with)",
+            ),
+            (
+                "ucad_wal_segments_total",
+                MetricKind::Counter,
+                "Durable WAL segment files opened for appending",
+            ),
+            (
+                "ucad_wal_fsyncs_total",
+                MetricKind::Counter,
+                "Durable WAL fsync barriers issued",
+            ),
+            (
+                "ucad_wal_appends_total",
+                MetricKind::Counter,
+                "Records appended to the durable WAL",
+            ),
+            (
+                "ucad_wal_replayed_records_total",
+                MetricKind::Counter,
+                "Durable WAL records replayed during crash recovery",
+            ),
+            (
+                "ucad_serve_recoveries_total",
+                MetricKind::Counter,
+                "Engine constructions that recovered prior durable state",
+            ),
+        ] {
+            registry.describe(name, kind, help);
+        }
         let flight = Arc::new(FlightRecorder::new(cfg.flight_capacity));
         flight.register_metrics(&registry);
         if let Some(cache) = &cache {
             cache.register_metrics(&registry, &[]);
         }
-        let worker_panics = registry.counter("ucad_serve_worker_panics_total", &[]);
-        let worker_restarts = registry.counter("ucad_serve_worker_restarts_total", &[]);
         let records_shed = registry.counter("ucad_serve_records_shed_total", &[]);
         let records_degraded = registry.counter("ucad_serve_records_degraded_total", &[]);
         let swaps = registry.counter("ucad_serve_swaps_total", &[]);
@@ -1085,10 +678,6 @@ impl ShardedOnlineUcad {
         // Stage-latency histograms: registered unconditionally (a
         // zero-count histogram still exposes its bucket series) and
         // pre-fetched here so no hot path touches the registry mutex.
-        let queue_wait =
-            registry.histogram("ucad_latency_queue_wait_seconds", &[], latency_log_bounds());
-        let latency_score =
-            registry.histogram("ucad_latency_score_seconds", &[], latency_log_bounds());
         let wal_append_latency =
             registry.histogram("ucad_latency_wal_append_seconds", &[], latency_log_bounds());
         let drain_delay_latency = registry.histogram(
@@ -1158,166 +747,117 @@ impl ShardedOnlineUcad {
             meta = Some(wal);
         }
 
+        // Recovery replays with the caller's system but without cache or
+        // observer: recovery is rare, a memoized score is bit-identical to
+        // a computed one, and the observer's feed is per engine life.
+        let recovery_route = Route::new(TENANT, Arc::clone(&system), None, None, None, None);
         let mut shard_durables: Vec<ShardDurable> = Vec::with_capacity(cfg.shards);
-        let mut shards: Vec<Shard> = Vec::with_capacity(cfg.shards);
         let mut total_replayed = 0u64;
-        for i in 0..cfg.shards {
-            let shard_label = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", shard_label.as_str())];
-            let h = ShardHandles {
-                outbox: Arc::new(Mutex::new(Outbox::default())),
-                wal: Arc::new(Mutex::new(Wal::default())),
-                processed: Arc::new(AtomicU64::new(0)),
-                feedback: Arc::new(Mutex::new(Vec::new())),
-                base: Arc::new(Mutex::new(None)),
-                records: registry.counter("ucad_serve_records_total", labels),
-                alerts: registry.counter("ucad_serve_alerts_total", labels),
-                queue_depth: registry.gauge("ucad_serve_queue_depth", labels),
-                score_latency: registry.histogram(
-                    "ucad_serve_score_duration_seconds",
-                    labels,
-                    latency_log_bounds(),
-                ),
-                queue_wait: queue_wait.clone(),
-                latency_score: latency_score.clone(),
+        let series = ShardSeries {
+            records: "ucad_serve_records_total",
+            alerts: Some("ucad_serve_alerts_total"),
+        };
+        let core = ShardCore::build(&cfg, &registry, &flight, series, |h| {
+            let mut trackers = Trackers::new(cfg.mode);
+            let Some(dcfg) = &durability else {
+                return Ok(trackers);
             };
-            let mut tracker = SessionTracker::new(cfg.mode);
-            if let Some(dcfg) = &durability {
-                let shard_dir = dcfg.dir.join(format!("shard-{i}"));
-                let origin = shard_dir.display().to_string();
-                let shard_opts = WalOptions {
-                    segment_max_bytes: dcfg.segment_max_bytes,
-                    fsync_every: dcfg.fsync_every,
-                };
-                let (wal, rec) =
-                    SegmentedWal::open(shard_dir.join("wal"), shard_opts, wal_metrics.clone())?;
-                let snaps = SnapshotStore::open(shard_dir.join("snap"))?;
-                let mut ops = 0u64;
-                let mut from_idx = rec.first_idx;
-                if let Some((snap_seq, payload)) = snaps.load_latest()? {
-                    let snap: ShardSnapshot = decode_json(&payload, &origin)?;
-                    prior_state = true;
-                    tracker = SessionTracker::import_state(cfg.mode, snap.tracker);
-                    // Restored alerts lost their raise instant with the
-                    // process that raised them: no drain-delay attribution.
-                    lock(&h.outbox).alerts = snap
-                        .outbox
-                        .into_iter()
-                        .map(|(seq, alert)| OutboxAlert {
-                            seq,
-                            raised_at: None,
-                            alert,
-                        })
-                        .collect();
-                    *lock(&h.feedback) = snap.feedback;
-                    next_seq = next_seq.max(snap.next_seq);
-                    recovered_epoch = recovered_epoch.max(snap.epoch);
-                    ops = snap.ops;
-                    from_idx = snap_seq;
-                }
-                // Decode the durable suffix and drop revoked pairs. A
-                // `Revoke` always directly follows the entry it cancels and
-                // never straddles a snapshot cut (both are appended in one
-                // submission, snapshots only between submissions), so a
-                // simple pop suffices.
-                let mut effective: Vec<DurableEntry> = Vec::new();
-                for (off, payload) in rec.entries.iter().enumerate() {
-                    if rec.first_idx + (off as u64) < from_idx {
-                        continue;
-                    }
-                    match decode_json::<DurableEntry>(payload, &origin)? {
-                        DurableEntry::Revoke => {
-                            effective.pop();
-                        }
-                        entry => effective.push(entry),
-                    }
-                }
-                if !effective.is_empty() {
-                    prior_state = true;
-                }
-                // Replay the suffix into the tracker, alerts and all. The
-                // score cache is skipped: recovery is rare, and a memoized
-                // score is bit-identical to a computed one, so the rebuilt
-                // state (and the alert stream) cannot differ. The observer
-                // is skipped too — its feed is per engine life.
-                for entry in &effective {
-                    ops += 1;
-                    match entry {
-                        DurableEntry::Record { seq, record, .. } => {
-                            h.records.inc();
-                            replayed_records.inc();
-                            total_replayed += 1;
-                            let raised = tracker.ingest(&system, None, None, record, *seq);
-                            if let Some(raised) = raised {
-                                book_alert(&h, i, &flight, None, raised, 0, None);
-                            }
-                            next_seq = next_seq.max(seq + 1);
-                        }
-                        DurableEntry::Close { session_id, .. } => {
-                            replayed_records.inc();
-                            total_replayed += 1;
-                            let raised = tracker.close(&system, None, None, *session_id);
-                            let mut normals = tracker.take_verified_normals();
-                            if let Some(raised) = raised {
-                                book_alert(&h, i, &flight, None, raised, 0, None);
-                            }
-                            if !normals.is_empty() {
-                                lock(&h.feedback).append(&mut normals);
-                            }
-                        }
-                        DurableEntry::FalseAlarm { session_id, .. } => {
-                            replayed_records.inc();
-                            total_replayed += 1;
-                            tracker.confirm_false_alarm(*session_id);
-                            let mut normals = tracker.take_verified_normals();
-                            if !normals.is_empty() {
-                                lock(&h.feedback).append(&mut normals);
-                            }
-                        }
-                        DurableEntry::Revoke => unreachable!("revoked pairs dropped above"),
-                    }
-                }
-                // The rebuilt state becomes the supervision base (the
-                // in-memory log restarts empty) and refeeds the degraded-
-                // mode shadows, so every post-recovery path has context.
-                let state = tracker.export_state();
-                if let Some(dstate) = degrade.as_mut() {
-                    for s in &state.sessions {
-                        dstate.sessions.insert(
-                            s.session.id,
-                            DegradeShadow {
-                                keys: s.keys.clone(),
-                                alerted: s.alerted,
-                            },
-                        );
-                    }
-                }
-                let open: HashSet<u64> = state.sessions.iter().map(|s| s.session.id).collect();
-                *lock(&h.base) = Some(BaseState {
-                    idx: 0,
-                    open,
-                    state,
-                });
-                shard_durables.push(ShardDurable {
-                    wal,
-                    snaps,
-                    ops,
-                    last_snap: from_idx,
-                });
+            // Shards are built in index order, each pushing one durable half.
+            let i = shard_durables.len();
+            let shard_dir = dcfg.dir.join(format!("shard-{i}"));
+            let origin = shard_dir.display().to_string();
+            let shard_opts = WalOptions {
+                segment_max_bytes: dcfg.segment_max_bytes,
+                fsync_every: dcfg.fsync_every,
+            };
+            let (wal, rec) =
+                SegmentedWal::open(shard_dir.join("wal"), shard_opts, wal_metrics.clone())?;
+            let snaps = SnapshotStore::open(shard_dir.join("snap"))?;
+            let mut ops = 0u64;
+            let mut from_idx = rec.first_idx;
+            if let Some((snap_seq, payload)) = snaps.load_latest()? {
+                let snap: ShardSnapshot = decode_json(&payload, &origin)?;
+                prior_state = true;
+                trackers = Trackers::import(cfg.mode, vec![(TENANT, snap.tracker)]);
+                // Restored alerts lost their raise instant with the process
+                // that raised them: no drain-delay attribution.
+                *lock(&h.outbox) = snap
+                    .outbox
+                    .into_iter()
+                    .map(|(seq, alert)| OutboxAlert {
+                        seq,
+                        tenant: TENANT,
+                        raised_at: None,
+                        alert,
+                    })
+                    .collect();
+                *lock(&h.feedback) = snap.feedback.into_iter().map(|k| (TENANT, k)).collect();
+                next_seq = next_seq.max(snap.next_seq);
+                recovered_epoch = recovered_epoch.max(snap.epoch);
+                ops = snap.ops;
+                from_idx = snap_seq;
             }
-            let spec = WorkerSpec {
-                shard: i,
-                system: Arc::clone(&system),
-                cache: cache.clone(),
-                flight: Arc::clone(&flight),
-                observer: observer.clone(),
-            };
-            let link = spawn_worker(spec, h.clone(), cfg.queue_capacity, tracker);
-            shards.push(Shard {
-                link: Mutex::new(link),
-                h,
+            // Decode the durable suffix and drop revoked pairs. A `Revoke`
+            // always directly follows the entry it cancels and never
+            // straddles a snapshot cut (both are appended in one submission,
+            // snapshots only between submissions), so a simple pop suffices.
+            let mut effective: Vec<Op> = Vec::new();
+            for (off, payload) in rec.entries.iter().enumerate() {
+                if rec.first_idx + (off as u64) < from_idx {
+                    continue;
+                }
+                match decode_json::<DurableEntry>(payload, &origin)? {
+                    DurableEntry::Revoke => {
+                        effective.pop();
+                    }
+                    DurableEntry::Record { seq, record, .. } => {
+                        effective.push(Op::Record(Arc::new(record), seq))
+                    }
+                    DurableEntry::Close { session_id, .. } => effective.push(Op::Close(session_id)),
+                    DurableEntry::FalseAlarm { session_id, .. } => {
+                        effective.push(Op::FalseAlarm(session_id))
+                    }
+                }
+            }
+            prior_state |= !effective.is_empty();
+            // Replay the suffix into the tracker, alerts and all.
+            for op in effective {
+                if let Op::Record(_, seq) = op {
+                    next_seq = next_seq.max(seq + 1);
+                }
+                ops += 1;
+                replayed_records.inc();
+                total_replayed += 1;
+                let op = RoutedOp {
+                    route: Arc::clone(&recovery_route),
+                    op,
+                };
+                h.apply(&mut trackers, &op, true, 0, None);
+            }
+            // The rebuilt state becomes the supervision base (the ring
+            // restarts empty) and refeeds the degraded-mode shadows, so
+            // every post-recovery path has context.
+            let states = trackers.export();
+            if let Some(dstate) = degrade.as_mut() {
+                for s in states.iter().flat_map(|(_, state)| &state.sessions) {
+                    dstate.sessions.insert(
+                        s.session.id,
+                        DegradeShadow {
+                            keys: s.keys.clone(),
+                            alerted: s.alerted,
+                        },
+                    );
+                }
+            }
+            h.rebase(states);
+            shard_durables.push(ShardDurable {
+                wal,
+                snaps,
+                ops,
+                last_snap: from_idx,
             });
-        }
+            Ok(trackers)
+        })?;
         let durable = durability.map(|dcfg| DurableState {
             cfg: dcfg,
             meta: meta.expect("meta log opened whenever durability is configured"),
@@ -1338,205 +878,32 @@ impl ShardedOnlineUcad {
             );
         }
         Ok(ShardedOnlineUcad {
-            systems: vec![Arc::clone(&system)],
-            system,
-            cache,
+            route: Route::new(TENANT, system, cache, observer, None, None),
+            core,
             registry,
             flight,
-            observer,
             degrade,
-            worker_panics,
-            worker_restarts,
             records_shed,
             records_degraded,
             swaps,
             epoch_gauge,
             wal_append_latency,
             drain_delay_latency,
-            panic_log: Mutex::new(Vec::new()),
-            shards,
             cfg,
             next_seq,
             epoch: recovered_epoch,
-            epoch_base: recovered_epoch,
             durable,
         })
     }
 
     /// Read access to the wrapped system.
     pub fn system(&self) -> &Ucad {
-        &self.system
+        &self.route.system
     }
 
     /// The shard a session routes to.
     pub fn shard_of(&self, session_id: u64) -> usize {
-        (splitmix64(self.cfg.seed ^ session_id) % self.cfg.shards as u64) as usize
-    }
-
-    /// Captures a worker panic: the panic log (surfaced in the
-    /// [`ShutdownReport`]), the panic counter, and an event line.
-    fn record_panic(&self, shard: usize, panic: Box<dyn std::any::Any + Send>) {
-        let message = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        self.worker_panics.inc();
-        ucad_obs::event(
-            "serve.worker_panic",
-            &[("shard", shard.to_string()), ("message", message.clone())],
-        );
-        lock(&self.panic_log).push((shard, message));
-    }
-
-    /// Checks shard `i` for a dead worker and, if found, heals it: joins
-    /// the corpse (capturing the panic), replays the shard's write-ahead
-    /// log into a fresh tracker — entries below the processed watermark
-    /// rebuild state silently, entries above it are processed for real
-    /// under their original model epoch — and respawns the worker on the
-    /// rebuilt tracker. Returns whether a restart happened.
-    ///
-    /// `force` skips the liveness probe: a failed channel send proves the
-    /// receiver is gone even while the worker thread is still unwinding,
-    /// so the caller must supervise unconditionally (the join below waits
-    /// out the unwind).
-    fn supervise_shard(&self, i: usize, force: bool) -> bool {
-        let shard = &self.shards[i];
-        let mut link = lock(&shard.link);
-        let dead = match &link.handle {
-            Some(handle) => force || handle.is_finished(),
-            None => false,
-        };
-        if !dead {
-            return false;
-        }
-        let handle = link.handle.take().expect("liveness-checked above");
-        match handle.join() {
-            Ok(_tracker) => {
-                // Clean exit (shutdown raced a supervision pass): nothing
-                // to heal, but the link must be respawned all the same so
-                // the engine keeps accepting this shard's sessions.
-            }
-            Err(panic) => self.record_panic(i, panic),
-        }
-        // Snapshot the log and watermark. The worker is dead and submission
-        // is externally serialized, so both are frozen.
-        let (entries, wal_top) = {
-            let wal = lock(&shard.h.wal);
-            (wal.entries.clone(), wal.next_idx)
-        };
-        let watermark = shard.h.processed.load(Ordering::SeqCst);
-        let observer = self.observer.clone();
-        // Replay starts from the supervision base (installed by a durable
-        // snapshot or by recovery) when one exists; entries below its index
-        // are folded into that state already.
-        let base = lock(&shard.h.base).clone();
-        let (base_idx, mut tracker) = match &base {
-            Some(b) => (
-                b.idx,
-                SessionTracker::import_state(self.cfg.mode, b.state.clone()),
-            ),
-            None => (0, SessionTracker::new(self.cfg.mode)),
-        };
-        let mut rebuilt = 0u64;
-        let mut replayed = 0u64;
-        for entry in &entries {
-            if entry.idx < base_idx {
-                continue;
-            }
-            // Epochs are absolute; `systems` starts at `epoch_base` (0 for
-            // a fresh engine). After a recovery only the current model
-            // survives, so an older-epoch entry clamps to the oldest held.
-            let sys_idx =
-                (entry.epoch.saturating_sub(self.epoch_base) as usize).min(self.systems.len() - 1);
-            let system: &Ucad = &self.systems[sys_idx];
-            // Replaying an old-epoch entry must not memoize stale scores
-            // into the current cache epoch.
-            let cache = if entry.epoch == self.epoch {
-                self.cache.as_deref()
-            } else {
-                None
-            };
-            let live = entry.idx >= watermark;
-            if live {
-                replayed += 1;
-            } else {
-                rebuilt += 1;
-            }
-            let entry_observer = if live { observer.as_deref() } else { None };
-            match &entry.msg {
-                WalMsg::Record(record, seq) => {
-                    if live {
-                        shard.h.records.inc();
-                    }
-                    let start = Instant::now();
-                    let raised = tracker.ingest(system, cache, entry_observer, record, *seq);
-                    if live {
-                        let score_secs = start.elapsed().as_secs_f64();
-                        shard.h.score_latency.observe(score_secs);
-                        shard.h.latency_score.observe(score_secs);
-                        // Queue residency died with the worker's queue —
-                        // replayed alerts carry no queue-wait attribution.
-                        if let Some(raised) = raised {
-                            book_alert(&shard.h, i, &self.flight, entry_observer, raised, 0, None);
-                        }
-                        if let Some(observer) = entry_observer {
-                            observer.on_scored(*seq);
-                        }
-                    }
-                }
-                WalMsg::Close(session_id) => {
-                    let raised = tracker.close(system, cache, entry_observer, *session_id);
-                    let mut normals = tracker.take_verified_normals();
-                    if live {
-                        if let Some(raised) = raised {
-                            book_alert(&shard.h, i, &self.flight, entry_observer, raised, 0, None);
-                        }
-                        if !normals.is_empty() {
-                            lock(&shard.h.feedback).append(&mut normals);
-                        }
-                    }
-                }
-                WalMsg::FalseAlarm(session_id) => {
-                    tracker.confirm_false_alarm(*session_id);
-                    let mut normals = tracker.take_verified_normals();
-                    if live && !normals.is_empty() {
-                        lock(&shard.h.feedback).append(&mut normals);
-                    }
-                }
-            }
-        }
-        // Everything in the log is now processed; keep only what a future
-        // replay of the still-open sessions would need (plus sessions the
-        // base still lists open — their closes must stay replayable).
-        shard.h.processed.store(wal_top, Ordering::SeqCst);
-        lock(&shard.h.wal).entries.retain(|e| {
-            tracker.has_session(e.session_id)
-                || base
-                    .as_ref()
-                    .is_some_and(|b| b.open.contains(&e.session_id))
-        });
-        // The dead worker's queue died with it; replay covered its
-        // contents, so the fresh queue starts empty.
-        shard.h.queue_depth.set(0.0);
-        let spec = WorkerSpec {
-            shard: i,
-            system: Arc::clone(&self.system),
-            cache: self.cache.clone(),
-            flight: Arc::clone(&self.flight),
-            observer,
-        };
-        *link = spawn_worker(spec, shard.h.clone(), self.cfg.queue_capacity, tracker);
-        self.worker_restarts.inc();
-        ucad_obs::event(
-            "serve.worker_restart",
-            &[
-                ("shard", i.to_string()),
-                ("rebuilt", rebuilt.to_string()),
-                ("replayed", replayed.to_string()),
-            ],
-        );
-        true
+        self.core.shard_of(0, session_id)
     }
 
     /// Routes one audit record to its session's shard. What happens when
@@ -1591,7 +958,7 @@ impl ShardedOnlineUcad {
         self.next_seq = seq + 1;
         let i = self.shard_of(record.session_id);
         // Durability first: append-before-send. If the append errors the
-        // record is dropped whole (no shadow feed, no in-memory log entry).
+        // record is dropped whole (no shadow feed, no ring entry).
         let wal_timer = self.durable.is_some().then(Instant::now);
         self.append_durable(
             i,
@@ -1604,65 +971,23 @@ impl ShardedOnlineUcad {
         if let Some(t) = wal_timer {
             self.wal_append_latency.observe(t.elapsed().as_secs_f64());
         }
-        if self.degrade.is_some() {
+        if let Some(state) = self.degrade.as_mut() {
             // Shadow context: the fallback needs the session's full key
             // sequence even for records the real path scored.
-            let key = self.system.preprocessor.vocab.key_of_sql(&record.sql);
-            if let Some(state) = self.degrade.as_mut() {
-                state
-                    .sessions
-                    .entry(record.session_id)
-                    .or_default()
-                    .keys
-                    .push(key);
-            }
+            let key = self.route.system.preprocessor.vocab.key_of_sql(&record.sql);
+            state
+                .sessions
+                .entry(record.session_id)
+                .or_default()
+                .keys
+                .push(key);
         }
-        let rec = Arc::new(record.clone());
-        let idx = lock(&self.shards[i].h.wal).append(
-            self.epoch,
-            record.session_id,
-            WalMsg::Record(Arc::clone(&rec), seq),
-        );
-        let depth = (self.shards[i].h.queue_depth.add(1.0) - 1.0).max(0.0) as usize;
-        let msg = Msg::Record(rec, seq, depth, Instant::now());
-        if self.cfg.overload == OverloadPolicy::Block {
-            let sent = lock(&self.shards[i].link).tx.send(msg);
-            if sent.is_err() {
-                // Dead receiver: the std channel wakes blocked senders when
-                // the worker drops its end, so a crashed shard can never
-                // deadlock submission. Supervision replays the appended
-                // entry — do not resend.
-                self.supervise_shard(i, true);
-            }
+        let op = Op::Record(Arc::new(record.clone()), seq);
+        if self.submit(i, op, self.cfg.overload) {
             return Ok(SubmitOutcome::Accepted);
         }
-        let saturated = ucad_fault::on_submit_saturated(i);
-        let refused = if saturated {
-            Some(())
-        } else {
-            // Bind before matching: a `match lock(..).try_send(..)` scrutinee
-            // would keep the link guard alive across the whole match, and the
-            // Disconnected arm re-locks the link inside `supervise_shard` —
-            // a self-deadlock the moment a dead worker is observed here.
-            let sent = lock(&self.shards[i].link).tx.try_send(msg);
-            match sent {
-                Ok(()) => None,
-                Err(TrySendError::Disconnected(_)) => {
-                    self.supervise_shard(i, true);
-                    return Ok(SubmitOutcome::Accepted);
-                }
-                Err(TrySendError::Full(_)) => Some(()),
-            }
-        };
-        if refused.is_none() {
-            return Ok(SubmitOutcome::Accepted);
-        }
-        // Saturated: the record will not reach the worker, so its log entry
-        // must go too — otherwise replay would double-process everything
-        // behind the resulting index gap. The durable entry cannot pop; a
-        // paired Revoke marker cancels it for recovery replay instead.
-        lock(&self.shards[i].h.wal).pop_unsent(idx);
-        self.shards[i].h.queue_depth.add(-1.0);
+        // Saturated: the record reached no shard. The durable entry cannot
+        // pop; a paired Revoke marker cancels it for recovery replay.
         self.revoke_durable(i);
         Ok(match self.cfg.overload {
             OverloadPolicy::ShedNewest => {
@@ -1670,8 +995,13 @@ impl ShardedOnlineUcad {
                 SubmitOutcome::Shed
             }
             OverloadPolicy::Degrade => self.degrade_score(i, record, seq),
-            OverloadPolicy::Block => unreachable!("handled above"),
+            OverloadPolicy::Block => unreachable!("Block never refuses"),
         })
+    }
+
+    fn submit(&self, i: usize, op: Op, overload: OverloadPolicy) -> bool {
+        let route = Arc::clone(&self.route);
+        self.core.submit(i, RoutedOp { route, op }, overload)
     }
 
     /// Appends one entry to shard `i`'s durable log (a no-op for in-memory
@@ -1723,10 +1053,9 @@ impl ShardedOnlineUcad {
         let key = shadow.keys[t];
         let abnormal = !state.lm.transition_allowed(&shadow.keys[..t], key);
         let raise = abnormal && !shadow.alerted;
+        let observer = self.route.observer.as_deref();
         if raise {
             shadow.alerted = true;
-        }
-        if raise {
             let alert = Alert {
                 session_id: record.session_id,
                 user: record.user.clone(),
@@ -1739,7 +1068,10 @@ impl ShardedOnlineUcad {
                 position: Some(t),
                 degraded: true,
             };
-            self.shards[i].h.alerts.inc();
+            let h = self.core.handles(i);
+            if let Some(alerts) = &h.alerts {
+                alerts.inc();
+            }
             ucad_obs::event(
                 "serve.alert",
                 &[
@@ -1750,42 +1082,39 @@ impl ShardedOnlineUcad {
                     ("degraded", "true".to_string()),
                 ],
             );
-            if let Some(observer) = &self.observer {
+            if let Some(observer) = observer {
                 observer.on_alert(&alert);
             }
-            lock(&self.shards[i].h.outbox).alerts.push(OutboxAlert {
+            lock(&h.outbox).push(OutboxAlert {
                 seq,
+                tenant: TENANT,
                 raised_at: Some(Instant::now()),
                 alert,
             });
         }
-        if let Some(observer) = &self.observer {
+        if let Some(observer) = observer {
             observer.on_scored(seq);
         }
         SubmitOutcome::Degraded
     }
 
-    /// Appends a control message to the shard's log and sends it,
-    /// supervising on a dead receiver (the entry is then consumed by
-    /// replay). Control messages always block — overload policies apply to
-    /// records only.
-    fn send_control(&mut self, session_id: u64, wal_msg: WalMsg) {
+    /// Logs a control operation durably and sends it, supervising on a
+    /// dead receiver (the entry is then consumed by replay). Control
+    /// operations always block — overload policies apply to records only.
+    fn send_control(&mut self, session_id: u64, close: bool) {
         if let Some(state) = self.degrade.as_mut() {
             state.sessions.remove(&session_id);
         }
         let i = self.shard_of(session_id);
-        let durable_entry = match &wal_msg {
-            WalMsg::Close(id) => DurableEntry::Close {
-                session_id: *id,
-                epoch: self.epoch,
-            },
-            WalMsg::FalseAlarm(id) => DurableEntry::FalseAlarm {
-                session_id: *id,
-                epoch: self.epoch,
-            },
-            WalMsg::Record(..) => unreachable!("records go through submit"),
+        let epoch = self.epoch;
+        let (op, entry) = if close {
+            let entry = DurableEntry::Close { session_id, epoch };
+            (Op::Close(session_id), entry)
+        } else {
+            let entry = DurableEntry::FalseAlarm { session_id, epoch };
+            (Op::FalseAlarm(session_id), entry)
         };
-        if let Err(e) = self.append_durable(i, &durable_entry) {
+        if let Err(e) = self.append_durable(i, &entry) {
             // The in-memory path still applies the control, so the live run
             // stays correct; a later recovery may miss this close and
             // re-raise its alert — the drain-side delivered filter absorbs
@@ -1795,29 +1124,19 @@ impl ShardedOnlineUcad {
                 &[("shard", i.to_string()), ("error", e.to_string())],
             );
         }
-        lock(&self.shards[i].h.wal).append(self.epoch, session_id, wal_msg.clone());
-        let depth = (self.shards[i].h.queue_depth.add(1.0) - 1.0).max(0.0) as usize;
-        let msg = match wal_msg {
-            WalMsg::Close(id) => Msg::Close(id, depth),
-            WalMsg::FalseAlarm(id) => Msg::FalseAlarm(id),
-            WalMsg::Record(..) => unreachable!("records go through submit"),
-        };
-        let sent = lock(&self.shards[i].link).tx.send(msg);
-        if sent.is_err() {
-            self.supervise_shard(i, true);
-        }
+        self.submit(i, op, OverloadPolicy::Block);
     }
 
     /// Closes a session on its shard (Block mode scores the pending tail,
     /// which can itself raise an alert); unalerted sessions join the
     /// shard's verified-normal feedback buffer.
     pub fn close_session(&mut self, session_id: u64) {
-        self.send_control(session_id, WalMsg::Close(session_id));
+        self.send_control(session_id, true);
     }
 
     /// DBA feedback: the alert on `session_id` was a false alarm.
     pub fn confirm_false_alarm(&mut self, session_id: u64) {
-        self.send_control(session_id, WalMsg::FalseAlarm(session_id));
+        self.send_control(session_id, false);
     }
 
     /// Atomically hot-swaps the serving model, returning the new model
@@ -1828,14 +1147,15 @@ impl ShardedOnlineUcad {
     /// 2. the shared [`ScoreCache`] advances its epoch, marking every score
     ///    memoized from the old weights stale (they are dropped on their
     ///    next lookup, never served),
-    /// 3. each shard receives the new system on its FIFO queue, ahead of
-    ///    anything submitted afterwards.
+    /// 3. the engine's route switches to the new system, so everything
+    ///    submitted afterwards carries it to its shard.
     ///
-    /// Because `&mut self` serializes submission against the swap and the
-    /// per-shard queues are FIFO, every record is scored by exactly the
+    /// Because `&mut self` serializes submission against the swap and every
+    /// operation carries its route, every record is scored by exactly the
     /// model that was current when it was submitted — for any shard count,
-    /// and even when a shard crashes around the cut (write-ahead entries
-    /// remember their epoch; replay scores them with that model). Sessions
+    /// and even when a shard crashes around the cut (replay-ring entries
+    /// keep their route; replay scores them with that model and keeps the
+    /// superseded model's scores out of the memo). Sessions
     /// opened after the swap produce verdicts byte-identical to a freshly
     /// started engine on the new model; sessions straddling the cut finish
     /// deterministically, with positions scored under the model current at
@@ -1846,7 +1166,7 @@ impl ShardedOnlineUcad {
     /// is rejected with [`UcadError::InvalidConfig`] and leaves the engine
     /// untouched.
     pub fn swap_model(&mut self, model: TransDas) -> Result<u64, UcadError> {
-        let serving = self.system.model.cfg.vocab_size;
+        let serving = self.route.system.model.cfg.vocab_size;
         if model.cfg.vocab_size != serving {
             return Err(UcadError::invalid(
                 "vocab_size",
@@ -1858,35 +1178,20 @@ impl ShardedOnlineUcad {
             ));
         }
         self.flush();
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.route.cache {
             cache.advance_epoch();
         }
-        let mut system = (*self.system).clone();
+        let mut system = (*self.route.system).clone();
         system.model = model;
-        let system = Arc::new(system);
-        self.system = Arc::clone(&system);
-        self.systems.push(Arc::clone(&system));
+        let (cache, observer) = (self.route.cache.clone(), self.route.observer.clone());
+        self.route = Route::new(TENANT, Arc::new(system), cache, observer, None, None);
         self.epoch += 1;
-        for i in 0..self.shards.len() {
-            let sent = lock(&self.shards[i].link)
-                .tx
-                .send(Msg::Swap(Arc::clone(&system)));
-            if sent.is_err() {
-                // The respawned worker picks up the already-installed new
-                // system directly; no swap message needed.
-                self.supervise_shard(i, true);
-            }
-        }
         self.swaps.inc();
         self.epoch_gauge.set(self.epoch as f64);
         ucad_obs::event("serve.model_swap", &[("epoch", self.epoch.to_string())]);
-        if self.durable.is_some() {
-            let marker = encode_json(&MetaEntry::Epoch { epoch: self.epoch });
-            self.durable
-                .as_mut()
-                .expect("checked above")
-                .meta
-                .append(&marker)?;
+        if let Some(d) = self.durable.as_mut() {
+            d.meta
+                .append(&encode_json(&MetaEntry::Epoch { epoch: self.epoch }))?;
             // Snapshot at the cut: every durable entry behind it is folded
             // into state, so recovery — which only has the *current* model
             // to replay with — never rescores an old-epoch entry.
@@ -1905,7 +1210,7 @@ impl ShardedOnlineUcad {
             return Ok(());
         }
         self.flush();
-        for i in 0..self.shards.len() {
+        for i in 0..self.cfg.shards {
             self.snapshot_shard(i)?;
         }
         if let Some(d) = self.durable.as_mut() {
@@ -1915,32 +1220,34 @@ impl ShardedOnlineUcad {
     }
 
     fn snapshot_shard(&mut self, i: usize) -> Result<(), UcadError> {
-        let state = self.export_tracker(i);
-        let epoch = self.epoch;
-        let next_seq = self.next_seq;
-        let h = self.shards[i].h.clone();
-        let d = self
+        let states = self.core.export(i);
+        let tracker = states
+            .iter()
+            .find(|(tenant, _)| *tenant == TENANT)
+            .map(|(_, state)| state.clone())
+            .unwrap_or_default();
+        let h = self.core.handles(i);
+        let sd = &mut self
             .durable
             .as_mut()
-            .expect("snapshot_shard requires durability");
-        let sd = &mut d.shards[i];
+            .expect("snapshot_shard requires durability")
+            .shards[i];
         // Everything the snapshot claims to cover must be on disk first.
         sd.wal.sync()?;
         let wal_idx = sd.wal.next_idx();
         let snap = ShardSnapshot {
             wal_idx,
-            epoch,
-            next_seq,
+            epoch: self.epoch,
+            next_seq: self.next_seq,
             ops: sd.ops,
-            tracker: state.clone(),
+            tracker,
             // Raise instants are process-local; the durable format keeps
-            // only (seq, alert), unchanged across this refactor.
+            // only (seq, alert).
             outbox: lock(&h.outbox)
-                .alerts
                 .iter()
                 .map(|a| (a.seq, a.alert.clone()))
                 .collect(),
-            feedback: lock(&h.feedback).clone(),
+            feedback: lock(&h.feedback).iter().map(|(_, k)| k.clone()).collect(),
         };
         sd.snaps.save(wal_idx, &encode_json(&snap))?;
         // Segments wholly below the *previous* retained snapshot are
@@ -1948,51 +1255,14 @@ impl ShardedOnlineUcad {
         // store keeps two; recovery falls back to the older).
         sd.wal.truncate_below(sd.last_snap);
         sd.last_snap = wal_idx;
-        // Advance the supervision base: in-memory entries below the flush
+        // Advance the supervision base: ring entries below the flush
         // watermark are folded into the exported state and can be pruned.
-        let in_mem_idx = lock(&h.wal).next_idx;
-        let open: HashSet<u64> = state.sessions.iter().map(|s| s.session.id).collect();
-        *lock(&h.base) = Some(BaseState {
-            idx: in_mem_idx,
-            open,
-            state,
-        });
-        lock(&h.wal).entries.retain(|e| e.idx >= in_mem_idx);
+        h.rebase(states);
         ucad_obs::event(
             "serve.snapshot",
             &[("shard", i.to_string()), ("wal_idx", wal_idx.to_string())],
         );
         Ok(())
-    }
-
-    /// Exports shard `i`'s live session state through a queue barrier,
-    /// healing the worker (whose supervision replay rebuilds the same
-    /// state) and retrying if it dies mid-export. Call after a flush so
-    /// the export reflects everything submitted.
-    fn export_tracker(&self, i: usize) -> TrackerState {
-        loop {
-            let (tx, rx) = sync_channel(1);
-            let sent = lock(&self.shards[i].link).tx.send(Msg::Export(tx));
-            if sent.is_ok() {
-                loop {
-                    match rx.recv_timeout(Duration::from_millis(20)) {
-                        Ok(state) => return state,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                        Err(RecvTimeoutError::Timeout) => {
-                            let dead = lock(&self.shards[i].link)
-                                .handle
-                                .as_ref()
-                                .is_none_or(|h| h.is_finished());
-                            if dead {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // Dead worker: heal it and retry (fault plans are finite).
-            self.supervise_shard(i, true);
-        }
     }
 
     /// The model epoch currently serving: 0 until the first
@@ -2026,7 +1296,7 @@ impl ShardedOnlineUcad {
 
     /// Drops the engine the way a process crash would: no shutdown
     /// message, no flush, no final fsync — worker threads and file handles
-    /// are leaked outright. Exists for crash-recovery tests, where `Drop`'s
+    /// are leaked outright. Exists for crash-recovery tests, where a
     /// graceful shutdown would defeat the point; pair with
     /// [`ShardedOnlineUcad::recover`] on the same directory.
     pub fn abandon(self) {
@@ -2039,77 +1309,14 @@ impl ShardedOnlineUcad {
     /// index order.
     pub fn drain_feedback(&mut self) -> Vec<Vec<u32>> {
         self.flush();
-        let mut sessions = Vec::new();
-        for shard in &self.shards {
-            sessions.append(&mut lock(&shard.h.feedback));
-        }
-        sessions
+        self.core.take_feedback(None)
     }
 
     /// Barrier: returns once every message submitted so far has been fully
-    /// processed by its shard — healing dead workers along the way. The
-    /// pass repeats until a whole round completes with no restart and no
-    /// failed barrier, so a worker dying *during* the flush (e.g. an
-    /// injected panic on a still-queued record) is also healed before the
-    /// call returns; fault plans are finite, so the loop terminates.
+    /// processed by its shard — healing dead workers along the way (see
+    /// [`ShardCore::flush`]).
     pub fn flush(&self) {
-        loop {
-            let mut stable = true;
-            for i in 0..self.shards.len() {
-                if self.supervise_shard(i, false) {
-                    stable = false;
-                }
-            }
-            let acks: Vec<Option<Receiver<()>>> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    let (ack_tx, ack_rx) = sync_channel(1);
-                    lock(&shard.link)
-                        .tx
-                        .send(Msg::Flush(ack_tx))
-                        .ok()
-                        .map(|()| ack_rx)
-                })
-                .collect();
-            for (i, ack) in acks.into_iter().enumerate() {
-                let acked = match ack {
-                    Some(rx) => self.await_ack(i, rx),
-                    None => false,
-                };
-                if !acked {
-                    stable = false;
-                }
-            }
-            if stable {
-                return;
-            }
-        }
-    }
-
-    /// Waits for one shard's flush ack. A plain `recv()` here can park
-    /// forever: if the worker dies *after* the barrier was queued, its
-    /// receiver drops but the engine still holds the queue's sender, so the
-    /// buffered `Flush` message — and the ack sender inside it — is never
-    /// destroyed. The wait therefore re-checks worker liveness on a short
-    /// timeout; a dead worker fails the ack, and the flush loop supervises
-    /// and retries.
-    fn await_ack(&self, i: usize, rx: Receiver<()>) -> bool {
-        loop {
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(()) => return true,
-                Err(RecvTimeoutError::Disconnected) => return false,
-                Err(RecvTimeoutError::Timeout) => {
-                    let dead = lock(&self.shards[i].link)
-                        .handle
-                        .as_ref()
-                        .is_none_or(|h| h.is_finished());
-                    if dead {
-                        return false;
-                    }
-                }
-            }
-        }
+        self.core.flush();
     }
 
     /// Flushes, then returns every alert raised since the last drain,
@@ -2140,15 +1347,7 @@ impl ShardedOnlineUcad {
     /// engine would have produced.
     pub fn drain_alerts_seq(&mut self) -> Vec<(u64, Alert)> {
         self.flush();
-        // Per-shard outboxes merge through the shared seq-sort helper —
-        // the identical code path the cross-process router uses, so the
-        // two scales cannot drift apart.
-        let mut tagged: Vec<OutboxAlert> = merge_seq_sorted(
-            self.shards
-                .iter()
-                .map(|shard| std::mem::take(&mut lock(&shard.h.outbox).alerts)),
-            |a| a.seq,
-        );
+        let mut tagged = self.core.take_alerts();
         // Drain-delay attribution: one clock read covers the whole batch
         // (the per-alert variation is the raise instant, not the drain).
         // Alerts without a raise instant (restored from a durable snapshot)
@@ -2200,16 +1399,12 @@ impl ShardedOnlineUcad {
     pub fn stats(&self) -> ServeStats {
         self.flush();
         ServeStats {
-            records_per_shard: self.shards.iter().map(|s| s.h.records.get()).collect(),
-            pending_alerts: self
-                .shards
-                .iter()
-                .map(|s| lock(&s.h.outbox).alerts.len())
-                .sum(),
-            cache: self.cache.as_ref().map(|c| c.stats()),
+            records_per_shard: self.core.records_per_shard(),
+            pending_alerts: self.core.pending_alerts(),
+            cache: self.route.cache.as_ref().map(|c| c.stats()),
             records_shed: self.records_shed.get(),
             records_degraded: self.records_degraded.get(),
-            worker_restarts: self.worker_restarts.get(),
+            worker_restarts: self.core.worker_restarts(),
         }
     }
 
@@ -2238,7 +1433,7 @@ impl ShardedOnlineUcad {
     /// shutdown panic-capture paths).
     #[cfg(test)]
     fn inject_worker_panic(&self, shard: usize) {
-        let _ = lock(&self.shards[shard].link).tx.send(Msg::Panic);
+        self.core.inject_panic(shard);
     }
 
     /// Stops the workers and hands back the system, the remaining alerts,
@@ -2256,30 +1451,16 @@ impl ShardedOnlineUcad {
                 let _ = sd.wal.sync();
             }
         }
-        let mut verified_normals = Vec::new();
-        for shard in &self.shards {
-            verified_normals.append(&mut lock(&shard.h.feedback));
-        }
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut link = lock(&shard.link);
-            let _ = link.tx.send(Msg::Shutdown);
-            if let Some(handle) = link.handle.take() {
-                if let Err(panic) = handle.join() {
-                    self.record_panic(i, panic);
-                }
-            }
-        }
-        let worker_panics = std::mem::take(&mut *lock(&self.panic_log));
-        let worker_restarts = self.worker_restarts.get();
+        let verified_normals = self.core.take_feedback(None);
+        let worker_panics = self.core.shutdown();
+        let worker_restarts = self.core.worker_restarts();
         let flight = self.flight.entries();
-        self.cache = None;
-        self.shards.clear();
-        let system_arc = Arc::clone(&self.system);
-        self.systems.clear();
-        drop(self);
-        let system = Arc::try_unwrap(system_arc).unwrap_or_else(|arc| (*arc).clone());
+        // The replay rings hold route clones; drop them before unwrapping.
+        let ShardedOnlineUcad { route, core, .. } = self;
+        drop(core);
+        let system = Arc::try_unwrap(route).map_or_else(|r| Arc::clone(&r.system), |r| r.system);
         ShutdownReport {
-            system,
+            system: Arc::try_unwrap(system).unwrap_or_else(|arc| (*arc).clone()),
             alerts,
             verified_normals,
             worker_panics,
@@ -2289,19 +1470,10 @@ impl ShardedOnlineUcad {
     }
 }
 
-impl Drop for ShardedOnlineUcad {
-    fn drop(&mut self) {
-        // Dropping the senders ends each worker's recv loop; detach rather
-        // than join so a panicking test does not deadlock on its own shards.
-        for shard in &mut self.shards {
-            let _ = lock(&shard.link).tx.send(Msg::Shutdown);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::splitmix64;
     use ucad_baselines::BaselineDetector;
 
     #[test]
@@ -2578,6 +1750,51 @@ mod tests {
         // The shared score memo was invalidated at the cut.
         assert!(metrics.contains("ucad_cache_stale_drops_total 0"));
         engine.flush();
+    }
+
+    #[test]
+    fn replay_under_a_superseded_model_never_touches_the_current_memo() {
+        use ucad_trace::{generate_raw_log, ScenarioSpec};
+
+        let system = tiny_system(43);
+        // Training-log sessions pass the policy screen, so they are scored.
+        let raw = generate_raw_log(&ScenarioSpec::commenting(), 30, 0.0, 43);
+        let records: Vec<LogRecord> = raw.sessions[..4]
+            .iter()
+            .flat_map(|s| {
+                s.ops.iter().map(|op| LogRecord {
+                    timestamp: op.timestamp,
+                    user: s.user.clone(),
+                    client_ip: s.client_ip.clone(),
+                    session_id: s.id,
+                    sql: op.sql.clone(),
+                    table: op.table.clone(),
+                    op: op.kind,
+                    rows: 0,
+                })
+            })
+            .collect();
+        let mut engine = ShardedOnlineUcad::new(
+            system,
+            ServeConfig {
+                shards: 1,
+                ..ServeConfig::default()
+            },
+        );
+        // The sessions stay open, so their ring entries outlive the swap.
+        for r in &records {
+            assert_eq!(engine.try_submit(r), Ok(SubmitOutcome::Accepted));
+        }
+        let candidate = engine.system().model.clone();
+        engine.swap_model(candidate).expect("compatible swap");
+        let before = engine.stats().cache.expect("cache on");
+        assert!(before.misses > 0, "the sessions never reached the memo");
+        // The crash forces a replay of every pre-swap entry under the old
+        // route; none of it may read or write the memo's new epoch.
+        engine.inject_worker_panic(0);
+        let after = engine.stats();
+        assert_eq!(after.worker_restarts, 1);
+        assert_eq!(after.cache, Some(before));
     }
 
     #[test]

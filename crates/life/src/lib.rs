@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod crc32;
 pub mod drift;
 pub mod journal;
 pub mod retrain;

@@ -27,6 +27,7 @@
 //! [`TransDas::position_scores`]: crate::TransDas::position_scores
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ucad_nn::Tensor;
 use ucad_obs::{latency_log_bounds, Counter, Gauge, Histogram, MetricKind, Registry};
@@ -85,8 +86,6 @@ struct Lru {
     maps: [HashMap<Vec<u32>, Entry>; 2],
     clock: u64,
     capacity: usize,
-    /// Current model epoch; bumped by [`ScoreCache::advance_epoch`].
-    epoch: u64,
 }
 
 impl Lru {
@@ -105,6 +104,10 @@ impl Lru {
 /// Thread-safe LRU memo of `(padded window, rows) -> score rows`.
 pub struct ScoreCache {
     inner: Mutex<Lru>,
+    /// Current model epoch. Bumped by [`ScoreCache::advance_epoch`] while
+    /// holding `inner`, so a lookup or insert under the lock sees one value
+    /// throughout; [`ScoreCache::epoch`] reads it without the lock.
+    epoch: AtomicU64,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -129,8 +132,8 @@ impl ScoreCache {
                 maps: [HashMap::new(), HashMap::new()],
                 clock: 0,
                 capacity,
-                epoch: 0,
             }),
+            epoch: AtomicU64::new(0),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
@@ -147,14 +150,13 @@ impl ScoreCache {
     /// on `ucad_cache_stale_drops_total`) or displaced by fresh inserts.
     /// Returns the new epoch.
     pub fn advance_epoch(&self) -> u64 {
-        let mut lru = self.inner.lock().expect("score cache poisoned");
-        lru.epoch += 1;
-        lru.epoch
+        let _lru = self.inner.lock().expect("score cache poisoned");
+        self.epoch.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     /// The current model epoch (0 until the first swap).
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().expect("score cache poisoned").epoch
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Exposes this cache's counters on a metrics registry under
@@ -194,7 +196,7 @@ impl ScoreCache {
         let mut lru = self.inner.lock().expect("score cache poisoned");
         lru.clock += 1;
         let clock = lru.clock;
-        let epoch = lru.epoch;
+        let epoch = self.epoch.load(Ordering::SeqCst);
         let map = &mut lru.maps[Lru::slot(rows)];
         match map.get_mut(window) {
             Some(entry) if entry.epoch == epoch => {
@@ -236,7 +238,7 @@ impl ScoreCache {
                 self.evictions.inc();
             }
         }
-        let epoch = lru.epoch;
+        let epoch = self.epoch.load(Ordering::SeqCst);
         lru.maps[slot].insert(
             window,
             Entry {

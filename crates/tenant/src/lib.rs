@@ -16,15 +16,17 @@
 //!   keeps only the most-recently-used models in memory; colder tenants
 //!   are evicted and reloaded bit-exactly on demand
 //!   (`ucad_tenant_{activations,evictions,cold_loads}_total`).
-//! * [`TenantShardPool`] — N worker threads, each hosting one
-//!   [`ucad::SessionTracker`] per `(shard, tenant)` pair. Because the
-//!   tracker is the exact state machine inside the single-tenant
-//!   [`ucad::ShardedOnlineUcad`], and every queued record carries its
-//!   tenant's resolved model handle (so eviction can never touch work in
-//!   flight), each tenant's alert stream is **byte-identical** to what a
-//!   dedicated single-tenant engine would produce — the isolation wall
-//!   `tests/tenant_isolation.rs` holds this across shard counts, cache
-//!   configurations, LRU churn and mid-stream per-tenant model swaps.
+//! * [`TenantShardPool`] — the multi-tenant front of the shard worker core
+//!   ([`ucad::serve_core`]) the single-tenant [`ucad::ShardedOnlineUcad`]
+//!   runs on: N supervised workers, each hosting one
+//!   [`ucad::SessionTracker`] per `(shard, tenant)` pair. Because every
+//!   queued operation carries its tenant's resolved route (so eviction can
+//!   never touch work in flight), each tenant's alert stream is
+//!   **byte-identical** to what a dedicated single-tenant engine would
+//!   produce — the isolation wall `tests/tenant_isolation.rs` holds this
+//!   across shard counts, cache configurations, LRU churn and mid-stream
+//!   per-tenant model swaps, and `tests/tenant_supervision.rs` holds it
+//!   through injected worker crashes.
 //! * [`TenantedAdmission`] — a per-tenant view of the pool implementing
 //!   the transport-agnostic [`ucad::Admission`] trait, so tenant traffic
 //!   drivers written against the trait run unchanged on a dedicated

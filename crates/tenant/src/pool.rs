@@ -1,25 +1,32 @@
-//! The shared shard pool: N workers serving every tenant at once.
+//! The shared shard pool: one shard worker core serving every tenant.
 //!
-//! The single-tenant [`ucad::ShardedOnlineUcad`] binds one model to N
-//! shard workers. The pool inverts that: workers are model-free, and every
-//! queued record carries its tenant's resolved [`TenantHandle`] — the
-//! `Arc<Ucad>`, the tenant's score cache and its observer. Three
-//! consequences:
+//! The pool is the multi-route front of [`ucad::serve_core::ShardCore`],
+//! the same worker core [`ucad::ShardedOnlineUcad`] runs on. Workers are
+//! model-free: every queued operation carries its tenant's resolved
+//! [`Route`] — the `Arc<Ucad>`, the tenant's score cache, its observer and
+//! its alert counter. Three consequences:
 //!
 //! * **Eviction can never touch in-flight work.** The registry dropping a
-//!   tenant's resident model only drops *its* reference; queued messages
-//!   keep the model alive until scored.
+//!   tenant's resident model only drops *its* reference; queued operations
+//!   (and replay-ring entries, until their session closes) keep the model
+//!   alive.
 //! * **Per-tenant state is structurally namespaced.** Each worker hosts
-//!   one [`SessionTracker`] per `(shard, tenant)`, each tenant memoizes
-//!   into its own [`ScoreCache`] instance, and a hot swap bumps only that
-//!   tenant's cache epoch. There is no shared mutable scoring state to
-//!   leak across tenants.
+//!   one [`ucad::SessionTracker`] per `(shard, tenant)`, each tenant
+//!   memoizes into its own [`ucad::ScoreCache`] instance, and a hot swap
+//!   bumps only that tenant's cache epoch. There is no shared mutable
+//!   scoring state to leak across tenants.
 //! * **Byte-identity falls out.** The tracker is a pure function of each
 //!   session's record sequence, sessions route by
 //!   `splitmix64(seed ^ splitmix64(tenant) ^ session_id)`, and drains
 //!   merge per-shard outboxes by global arrival seq — restricted to one
 //!   tenant, that order is exactly the tenant's own submission order, i.e.
 //!   what a dedicated engine would emit.
+//!
+//! The core supplies supervision (a panicked worker is healed by replaying
+//! its ring, so each tenant's alerts still match a fault-free run) and the
+//! `ucad-fault` hooks. What stays here is what is really per-tenant:
+//! registry activation, route resolution, observer fan-out, label-guarded
+//! meters, per-tenant drains and the [`TenantedAdmission`] view.
 //!
 //! Accounting is exact: `accepted + shed == submitted` always (the pool
 //! supports [`OverloadPolicy::Block`] and [`OverloadPolicy::ShedNewest`];
@@ -29,18 +36,12 @@
 use crate::registry::{TenantHandle, TenantRegistry};
 use crate::TenantId;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 use ucad::serve::{OverloadPolicy, ServeConfig, ServeStats, SubmitOutcome};
-use ucad::{
-    merge_seq_sorted, splitmix64, Admission, Alert, RaisedAlert, ServeObserver, SessionTracker,
-    Ucad,
-};
+use ucad::serve_core::{Op, OutboxAlert, Route, RoutedOp, ShardCore, ShardSeries};
+use ucad::{merge_seq_sorted, splitmix64, Admission, Alert, ServeObserver, Ucad};
 use ucad_dbsim::LogRecord;
-use ucad_model::{ScoreCache, UcadError};
+use ucad_model::UcadError;
 use ucad_obs::{Counter, FlightEntry, FlightRecorder, LabelGuard, Registry};
 
 /// Default bound on distinct `tenant` label values in the pool's metric
@@ -48,25 +49,11 @@ use ucad_obs::{Counter, FlightEntry, FlightRecorder, LabelGuard, Registry};
 /// bucket instead of growing cardinality.
 pub const DEFAULT_TENANT_LABEL_LIMIT: usize = 32;
 
-/// How long a flush barrier waits between liveness checks of a shard
-/// worker that has not yet acknowledged.
-const FLUSH_POLL: Duration = Duration::from_millis(50);
-
-/// Locks a mutex, recovering the guard when a panicking thread poisoned it
-/// (the protected structures are push/pop-only and never observable
-/// half-done).
+/// Locks a mutex, recovering the guard when a panicking thread poisoned it.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// An alert waiting in a shard outbox or the pool's pending buffer.
-#[derive(Clone)]
-struct PendingAlert {
-    seq: u64,
-    tenant: TenantId,
-    alert: Alert,
 }
 
 /// Fans observer hooks out to the pool-global observer and the tenant's
@@ -106,144 +93,11 @@ impl ServeObserver for FanoutObserver {
     }
 }
 
-/// Per-tenant serving context resolved at submit time and carried by every
-/// queued message.
-#[derive(Clone)]
-struct TenantCtx {
-    tenant: TenantId,
-    system: Arc<Ucad>,
-    cache: Option<Arc<ScoreCache>>,
-    observer: Option<Arc<dyn ServeObserver>>,
-    /// Guard-clamped label value for metrics and flight entries.
-    label: Arc<str>,
-    alerts: Counter,
-}
-
-enum PoolMsg {
-    Record {
-        ctx: TenantCtx,
-        record: Arc<LogRecord>,
-        seq: u64,
-        depth: usize,
-        enqueued: Instant,
-    },
-    Close {
-        ctx: TenantCtx,
-        session_id: u64,
-    },
-    FalseAlarm {
-        tenant: TenantId,
-        session_id: u64,
-    },
-    Flush(SyncSender<()>),
-    Shutdown,
-}
-
-struct PoolShard {
-    tx: SyncSender<PoolMsg>,
-    handle: Option<JoinHandle<()>>,
-    outbox: Arc<Mutex<Vec<PendingAlert>>>,
-    depth: Arc<AtomicUsize>,
-    records: Counter,
-}
-
-fn worker(
-    rx: Receiver<PoolMsg>,
-    shard: usize,
-    mode: ucad_model::DetectionMode,
-    flight: Arc<FlightRecorder>,
-    outbox: Arc<Mutex<Vec<PendingAlert>>>,
-    depth: Arc<AtomicUsize>,
-) {
-    let mut trackers: HashMap<TenantId, SessionTracker> = HashMap::new();
-    let book = |ctx: &TenantCtx, raised: RaisedAlert, depth_now: usize, wait_us: Option<f64>| {
-        ctx.alerts.inc();
-        flight.record(FlightEntry {
-            seq: raised.seq,
-            session_id: raised.alert.session_id,
-            shard,
-            tenant: Some(ctx.label.to_string()),
-            reason: format!("{:?}", raised.alert.reason),
-            position: raised.alert.position,
-            rank: raised.rank,
-            score: raised.score,
-            cache_hit: raised.cache_hit,
-            queue_depth: depth_now,
-            queue_wait_us: wait_us,
-            drain_delay_us: None,
-            key_window: raised.key_window,
-        });
-        if let Some(observer) = &ctx.observer {
-            observer.on_alert(&raised.alert);
-        }
-        lock(&outbox).push(PendingAlert {
-            seq: raised.seq,
-            tenant: ctx.tenant,
-            alert: raised.alert,
-        });
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            PoolMsg::Record {
-                ctx,
-                record,
-                seq,
-                depth: depth_at_enqueue,
-                enqueued,
-            } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let wait_us = enqueued.elapsed().as_secs_f64() * 1e6;
-                let tracker = trackers
-                    .entry(ctx.tenant)
-                    .or_insert_with(|| SessionTracker::new(mode));
-                let raised = tracker.ingest(
-                    &ctx.system,
-                    ctx.cache.as_deref(),
-                    ctx.observer.as_deref(),
-                    &record,
-                    seq,
-                );
-                if let Some(raised) = raised {
-                    book(&ctx, raised, depth_at_enqueue, Some(wait_us));
-                }
-                if let Some(observer) = &ctx.observer {
-                    observer.on_scored(seq);
-                }
-            }
-            PoolMsg::Close { ctx, session_id } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let tracker = trackers
-                    .entry(ctx.tenant)
-                    .or_insert_with(|| SessionTracker::new(mode));
-                let raised = tracker.close(
-                    &ctx.system,
-                    ctx.cache.as_deref(),
-                    ctx.observer.as_deref(),
-                    session_id,
-                );
-                if let Some(raised) = raised {
-                    book(&ctx, raised, 0, None);
-                }
-            }
-            PoolMsg::FalseAlarm { tenant, session_id } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                if let Some(tracker) = trackers.get_mut(&tenant) {
-                    tracker.confirm_false_alarm(session_id);
-                }
-            }
-            PoolMsg::Flush(ack) => {
-                let _ = ack.send(());
-            }
-            PoolMsg::Shutdown => break,
-        }
-    }
-}
-
-/// One pool of shard workers multiplexing every registered tenant.
+/// One shard worker core multiplexing every registered tenant.
 pub struct TenantShardPool {
     registry: TenantRegistry,
     cfg: ServeConfig,
-    shards: Vec<PoolShard>,
+    core: ShardCore,
     metrics: Registry,
     flight: Arc<FlightRecorder>,
     guard: LabelGuard,
@@ -253,7 +107,8 @@ pub struct TenantShardPool {
     resolved_observers: HashMap<TenantId, Arc<dyn ServeObserver>>,
     /// Guard-clamped label + per-tenant counters, cached per tenant.
     tenant_meters: HashMap<TenantId, (Arc<str>, Counter, Counter)>,
-    pending: Vec<PendingAlert>,
+    /// Alerts taken from the core but not yet drained, in seq order.
+    pending: Vec<OutboxAlert>,
     next_seq: u64,
     submitted: Counter,
     shed: Counter,
@@ -278,15 +133,7 @@ impl TenantShardPool {
         observer: Option<Arc<dyn ServeObserver>>,
         label_limit: usize,
     ) -> Result<Self, UcadError> {
-        if cfg.shards == 0 {
-            return Err(UcadError::invalid("shards", "at least one shard required"));
-        }
-        if cfg.queue_capacity == 0 {
-            return Err(UcadError::invalid(
-                "queue_capacity",
-                "a zero-capacity queue would deadlock submission",
-            ));
-        }
+        cfg.validate()?;
         if cfg.overload == OverloadPolicy::Degrade {
             return Err(UcadError::invalid(
                 "overload",
@@ -306,35 +153,15 @@ impl TenantShardPool {
         registry.register_metrics(&metrics);
         let guard = LabelGuard::new(label_limit);
         guard.register_metrics(&metrics, "ucad_tenant_label_clamped_total");
-        let shards = (0..cfg.shards)
-            .map(|i| {
-                let (tx, rx) = sync_channel(cfg.queue_capacity);
-                let outbox = Arc::new(Mutex::new(Vec::new()));
-                let depth = Arc::new(AtomicUsize::new(0));
-                let records = metrics.counter(
-                    "ucad_serve_shard_records_total",
-                    &[("shard", &i.to_string())],
-                );
-                let handle = {
-                    let flight = Arc::clone(&flight);
-                    let outbox = Arc::clone(&outbox);
-                    let depth = Arc::clone(&depth);
-                    let mode = cfg.mode;
-                    std::thread::spawn(move || worker(rx, i, mode, flight, outbox, depth))
-                };
-                PoolShard {
-                    tx,
-                    handle: Some(handle),
-                    outbox,
-                    depth,
-                    records,
-                }
-            })
-            .collect();
+        let series = ShardSeries {
+            records: "ucad_serve_shard_records_total",
+            alerts: None,
+        };
+        let core = ShardCore::new(&cfg, &metrics, &flight, series);
         Ok(TenantShardPool {
             registry,
             cfg,
-            shards,
+            core,
             submitted: metrics.counter("ucad_tenant_records_submitted_total", &[]),
             shed: metrics.counter("ucad_serve_records_shed_total", &[]),
             metrics,
@@ -416,29 +243,41 @@ impl TenantShardPool {
         m
     }
 
-    fn ctx_for(&mut self, tenant: TenantId) -> Result<(TenantCtx, Counter), UcadError> {
+    /// Activates `tenant` (possibly cold loading its model) and resolves
+    /// the route its operations carry, plus its accepted-records counter.
+    fn route_for(&mut self, tenant: TenantId) -> Result<(Arc<Route>, Counter), UcadError> {
         let handle = self.registry.activate(tenant)?;
         let observer = self.observer_for(tenant);
         let (label, records, alerts) = self.meters_for(tenant, &handle);
-        Ok((
-            TenantCtx {
-                tenant,
-                system: handle.system,
-                cache: handle.cache,
-                observer,
-                label,
-                alerts,
-            },
-            records,
-        ))
+        let route = Route::new(
+            tenant,
+            handle.system,
+            handle.cache,
+            observer,
+            Some(alerts),
+            Some(label),
+        );
+        Ok((route, records))
     }
 
-    /// Routes a session of a tenant to its shard: one more application of
-    /// the system-wide splitmix64 discipline, with the tenant folded in so
-    /// equal session ids of different tenants spread independently.
-    fn route(&self, tenant: TenantId, session_id: u64) -> usize {
-        (splitmix64(self.cfg.seed ^ splitmix64(tenant) ^ session_id) % self.shards.len() as u64)
-            as usize
+    /// Routes one operation of `tenant` to its shard: the core's
+    /// splitmix64 discipline salted with the tenant, so equal session ids
+    /// of different tenants spread independently. Returns whether it
+    /// reached the shard.
+    fn submit(
+        &mut self,
+        tenant: TenantId,
+        op: Op,
+        overload: OverloadPolicy,
+    ) -> Result<bool, UcadError> {
+        let (route, records) = self.route_for(tenant)?;
+        let shard = self.core.shard_of(splitmix64(tenant), op.session_id());
+        let is_record = matches!(op, Op::Record(..));
+        let sent = self.core.submit(shard, RoutedOp { route, op }, overload);
+        if sent && is_record {
+            records.inc();
+        }
+        Ok(sent)
     }
 
     /// Submits one record of `tenant` for scoring. Activates the tenant
@@ -450,142 +289,56 @@ impl TenantShardPool {
         tenant: TenantId,
         record: &LogRecord,
     ) -> Result<SubmitOutcome, UcadError> {
-        let (ctx, records) = self.ctx_for(tenant)?;
-        let shard = self.route(tenant, record.session_id);
+        let op = Op::Record(Arc::new(record.clone()), self.next_seq);
+        let overload = self.cfg.overload;
+        let sent = self.submit(tenant, op, overload)?;
         self.submitted.inc();
-        let seq = self.next_seq;
         self.next_seq += 1;
-        let s = &self.shards[shard];
-        let depth = s.depth.load(Ordering::Relaxed);
-        let msg = PoolMsg::Record {
-            ctx,
-            record: Arc::new(record.clone()),
-            seq,
-            depth,
-            enqueued: Instant::now(),
-        };
-        s.depth.fetch_add(1, Ordering::Relaxed);
-        let outcome = match self.cfg.overload {
-            OverloadPolicy::Block => {
-                s.tx.send(msg)
-                    .map(|()| SubmitOutcome::Accepted)
-                    .map_err(|_| UcadError::protocol(format!("shard {shard} worker is gone")))
-            }
-            OverloadPolicy::ShedNewest => match s.tx.try_send(msg) {
-                Ok(()) => Ok(SubmitOutcome::Accepted),
-                Err(TrySendError::Full(_)) => {
-                    self.shed.inc();
-                    Ok(SubmitOutcome::Shed)
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    Err(UcadError::protocol(format!("shard {shard} worker is gone")))
-                }
-            },
-            OverloadPolicy::Degrade => unreachable!("rejected at construction"),
-        };
-        match &outcome {
-            Ok(SubmitOutcome::Accepted) => {
-                records.inc();
-                self.shards[shard].records.inc();
-            }
-            _ => {
-                self.shards[shard].depth.fetch_sub(1, Ordering::Relaxed);
-            }
+        if sent {
+            return Ok(SubmitOutcome::Accepted);
         }
-        outcome
-    }
-
-    fn send_stateful(
-        &mut self,
-        tenant: TenantId,
-        msg_shard: usize,
-        msg: PoolMsg,
-    ) -> Result<(), UcadError> {
-        let s = &self.shards[msg_shard];
-        s.depth.fetch_add(1, Ordering::Relaxed);
-        s.tx.send(msg).map_err(|_| {
-            self.shards[msg_shard].depth.fetch_sub(1, Ordering::Relaxed);
-            UcadError::protocol(format!(
-                "shard {msg_shard} worker is gone (tenant {tenant:#x})"
-            ))
-        })
+        self.shed.inc();
+        Ok(SubmitOutcome::Shed)
     }
 
     /// Closes one session of `tenant` (Block mode scores the pending tail,
     /// which can itself raise an alert).
     pub fn close_session(&mut self, tenant: TenantId, session_id: u64) -> Result<(), UcadError> {
-        let (ctx, _) = self.ctx_for(tenant)?;
-        let shard = self.route(tenant, session_id);
-        self.send_stateful(tenant, shard, PoolMsg::Close { ctx, session_id })
+        self.submit(tenant, Op::Close(session_id), OverloadPolicy::Block)
+            .map(drop)
     }
 
-    /// DBA feedback: the alert on `(tenant, session_id)` was a false alarm.
+    /// DBA feedback: the alert on `(tenant, session_id)` was a false alarm;
+    /// the session joins the tenant's verified-normal feedback (see
+    /// [`Self::drain_tenant_feedback`]).
     pub fn confirm_false_alarm(
         &mut self,
         tenant: TenantId,
         session_id: u64,
     ) -> Result<(), UcadError> {
-        let shard = self.route(tenant, session_id);
-        self.send_stateful(tenant, shard, PoolMsg::FalseAlarm { tenant, session_id })
+        self.submit(tenant, Op::FalseAlarm(session_id), OverloadPolicy::Block)
+            .map(drop)
     }
 
-    /// Barrier: returns once every message submitted so far is processed.
+    /// Barrier: returns once every operation submitted so far is
+    /// processed, healing dead shard workers along the way.
     pub fn flush(&self) -> Result<(), UcadError> {
-        let mut acks = Vec::with_capacity(self.shards.len());
-        for (i, s) in self.shards.iter().enumerate() {
-            let (tx, rx) = sync_channel(1);
-            s.tx.send(PoolMsg::Flush(tx))
-                .map_err(|_| UcadError::protocol(format!("shard {i} worker is gone")))?;
-            acks.push((i, rx));
-        }
-        for (i, rx) in acks {
-            loop {
-                match rx.recv_timeout(FLUSH_POLL) {
-                    Ok(()) => break,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        let dead = self.shards[i]
-                            .handle
-                            .as_ref()
-                            .map(JoinHandle::is_finished)
-                            .unwrap_or(true);
-                        if dead {
-                            return Err(UcadError::protocol(format!(
-                                "shard {i} worker died before acknowledging flush"
-                            )));
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(UcadError::protocol(format!(
-                            "shard {i} worker dropped its flush acknowledgement"
-                        )));
-                    }
-                }
-            }
-        }
+        self.core.flush();
         Ok(())
     }
 
     /// Flushes, then folds every shard outbox into the pool's pending
     /// buffer in global-seq order.
-    fn collect(&mut self) -> Result<(), UcadError> {
-        self.flush()?;
-        let fresh: Vec<Vec<PendingAlert>> = self
-            .shards
-            .iter()
-            .map(|s| std::mem::take(&mut *lock(&s.outbox)))
-            .collect();
+    fn collect(&mut self) {
+        self.core.flush();
         let pending = std::mem::take(&mut self.pending);
-        self.pending =
-            merge_seq_sorted(std::iter::once(pending).chain(fresh), |a: &PendingAlert| {
-                a.seq
-            });
-        Ok(())
+        self.pending = merge_seq_sorted([pending, self.core.take_alerts()], |a| a.seq);
     }
 
     /// Flushes, then returns every alert raised since the last drain
     /// across **all** tenants, ordered by global arrival seq.
     pub fn drain_alerts(&mut self) -> Result<Vec<Alert>, UcadError> {
-        self.collect()?;
+        self.collect();
         Ok(self.pending.drain(..).map(|p| p.alert).collect())
     }
 
@@ -594,13 +347,21 @@ impl TenantShardPool {
     /// returned vector, order is the tenant's own submission order — the
     /// same order a dedicated single-tenant engine drains in.
     pub fn drain_tenant_alerts(&mut self, tenant: TenantId) -> Result<Vec<Alert>, UcadError> {
-        self.collect()?;
-        let (mine, rest): (Vec<PendingAlert>, Vec<PendingAlert>) =
-            std::mem::take(&mut self.pending)
-                .into_iter()
-                .partition(|p| p.tenant == tenant);
+        self.collect();
+        let (mine, rest): (Vec<OutboxAlert>, Vec<OutboxAlert>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.tenant == tenant);
         self.pending = rest;
         Ok(mine.into_iter().map(|p| p.alert).collect())
+    }
+
+    /// Flushes, then returns (and removes) the verified-normal feedback of
+    /// one tenant — its unalerted closed and false-alarm-confirmed
+    /// sessions, the §5.2 retraining corpus — leaving other tenants'
+    /// feedback undisturbed.
+    pub fn drain_tenant_feedback(&mut self, tenant: TenantId) -> Result<Vec<Vec<u32>>, UcadError> {
+        self.core.flush();
+        Ok(self.core.take_feedback(Some(tenant)))
     }
 
     /// Hot-swaps one tenant's system mid-stream: full flush barrier (every
@@ -609,23 +370,23 @@ impl TenantShardPool {
     /// tenant's cache epoch. Other tenants' serving state, caches and
     /// epochs are untouched.
     pub fn swap_tenant(&mut self, tenant: TenantId, system: &Ucad) -> Result<(), UcadError> {
-        self.flush()?;
+        self.core.flush();
         self.registry.swap(tenant, system)
     }
 
-    /// Flushes, then snapshots the pool's throughput and overload
-    /// counters. `cache` is `None`: score memos are per-tenant (inspect a
-    /// tenant's via its [`TenantHandle`]); `records_degraded` and
-    /// `worker_restarts` are structurally zero for the pool.
+    /// Flushes, then snapshots the pool's throughput, overload and
+    /// supervision counters. `cache` is `None`: score memos are per-tenant
+    /// (inspect a tenant's via its [`TenantHandle`]);
+    /// `records_degraded` is zero because the pool rejects `Degrade`.
     pub fn stats(&mut self) -> Result<ServeStats, UcadError> {
-        self.collect()?;
+        self.collect();
         Ok(ServeStats {
-            records_per_shard: self.shards.iter().map(|s| s.records.get()).collect(),
+            records_per_shard: self.core.records_per_shard(),
             pending_alerts: self.pending.len(),
             cache: None,
             records_shed: self.shed.get(),
             records_degraded: 0,
-            worker_restarts: 0,
+            worker_restarts: self.core.worker_restarts(),
         })
     }
 
@@ -636,7 +397,7 @@ impl TenantShardPool {
 
     /// Prometheus text exposition of the pool registry (tenant-labeled
     /// serve counters, `ucad_tenant_*` lifecycle counters, flight-recorder
-    /// counters, label-guard clamps).
+    /// counters, label-guard clamps, shard-core supervision series).
     pub fn render_metrics(&self) -> String {
         self.metrics.render_prometheus()
     }
@@ -668,31 +429,8 @@ impl TenantShardPool {
     /// returned alongside.
     pub fn shutdown(mut self) -> Result<(TenantRegistry, Vec<Alert>), UcadError> {
         let alerts = self.drain_alerts()?;
-        for s in &mut self.shards {
-            let _ = s.tx.send(PoolMsg::Shutdown);
-        }
-        for s in &mut self.shards {
-            if let Some(h) = s.handle.take() {
-                let _ = h.join();
-            }
-        }
-        let dir = self.registry.dir().to_path_buf();
-        let budget = self.registry.budget();
-        let registry = std::mem::replace(&mut self.registry, TenantRegistry::open(dir, budget, 0)?);
-        Ok((registry, alerts))
-    }
-}
-
-impl Drop for TenantShardPool {
-    fn drop(&mut self) {
-        for s in &mut self.shards {
-            let _ = s.tx.send(PoolMsg::Shutdown);
-        }
-        for s in &mut self.shards {
-            if let Some(h) = s.handle.take() {
-                let _ = h.join();
-            }
-        }
+        self.core.shutdown();
+        Ok((self.registry, alerts))
     }
 }
 
