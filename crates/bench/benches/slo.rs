@@ -111,7 +111,6 @@ fn main() {
         blocks: 2,
         window: 12,
         epochs: 12,
-        threads: 1,
         ..cfg.model
     };
     println!("training on {} raw sessions ...", raw.sessions.len());

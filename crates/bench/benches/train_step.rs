@@ -1,10 +1,10 @@
 //! Training-step throughput at the current `UCAD_THREADS` setting.
 //!
-//! Training's hot loop is the tape forward/backward, whose matmuls now run
-//! on the shared compute pool; this harness measures windows/s over a full
-//! Scenario-I training run and records the row in `BENCH_parallel.json`.
-//! Because the blocked kernels are bit-identical to the scalar ones, the
-//! final loss printed here must not move with the thread count — the CI
+//! Training runs the windows of each batch in parallel on the shared
+//! compute pool; this harness measures windows/s over a full Scenario-I
+//! training run and records the row in `BENCH_parallel.json`. Because the
+//! gradients are applied in batch order whatever the pool size, the final
+//! loss printed here must not move with the thread count — the CI
 //! bench-smoke job diffs it across `UCAD_THREADS=1` and `4`.
 
 use std::time::Instant;
@@ -18,7 +18,6 @@ fn main() {
     let cfg = TransDasConfig {
         vocab_size: bundle.data.vocab.key_space(),
         epochs: 4,
-        threads: 1,
         ..bundle.model
     };
 

@@ -177,7 +177,6 @@ mod tests {
             window: 6,
             epochs: 2,
             dropout_keep: 1.0,
-            threads: 1,
             mask: MaskMode::TransDas,
             ..TransDasConfig::scenario1(8)
         }

@@ -272,7 +272,6 @@ mod tests {
             window: 6,
             epochs: seed_epochs,
             dropout_keep: 1.0,
-            threads: 1,
             mask: MaskMode::TransDas,
             ..TransDasConfig::scenario1(8)
         };

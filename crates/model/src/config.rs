@@ -55,10 +55,10 @@ pub struct TransDasConfig {
     /// Sliding-window stride over training sessions (the paper uses 1;
     /// larger strides trade fidelity for speed on big corpora).
     pub stride: usize,
-    /// Windows per optimizer step.
+    /// Windows per optimizer step. The windows of a batch run in parallel
+    /// on the shared compute pool; the trained weights do not depend on its
+    /// size.
     pub batch_size: usize,
-    /// Worker threads for gradient accumulation (1 = single-threaded).
-    pub threads: usize,
     /// RNG seed for initialization, shuffling, dropout and negatives.
     pub seed: u64,
 }
@@ -83,7 +83,6 @@ impl TransDasConfig {
             epochs: 40,
             stride: 1,
             batch_size: 32,
-            threads: default_threads(),
             seed: 42,
         }
     }
@@ -175,11 +174,8 @@ impl TransDasConfig {
         if !(0.0 < self.dropout_keep && self.dropout_keep <= 1.0) {
             return Err(UcadError::invalid("dropout_keep", "must be in (0, 1]"));
         }
-        if self.stride == 0 || self.batch_size == 0 || self.threads == 0 {
-            return Err(UcadError::invalid(
-                "stride/batch_size/threads",
-                "must be positive",
-            ));
+        if self.stride == 0 || self.batch_size == 0 {
+            return Err(UcadError::invalid("stride/batch_size", "must be positive"));
         }
         if self.negatives == 0 {
             return Err(UcadError::invalid(
@@ -189,13 +185,6 @@ impl TransDasConfig {
         }
         Ok(())
     }
-}
-
-/// Default worker count: physical parallelism capped at 8.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

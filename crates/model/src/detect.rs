@@ -611,7 +611,6 @@ mod tests {
             epochs: 40,
             stride: 1,
             batch_size: 16,
-            threads: 1,
             seed: 11,
         };
         let mut model = TransDas::new(cfg);

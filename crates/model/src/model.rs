@@ -16,7 +16,8 @@ use std::time::Instant;
 use ucad_nn::init::{normal, xavier_uniform};
 use ucad_nn::layers::{LayerNorm, Linear};
 use ucad_nn::optim::{Adam, Optimizer};
-use ucad_nn::{AttentionScratch, ParamId, ParamStore, Tape, Tensor, Var};
+use ucad_nn::tape::dropout_mask;
+use ucad_nn::{AttentionScratch, GradLog, ParamId, ParamStore, Tape, Tensor, Var};
 
 /// One attention block: `m` heads, output projection, feed-forward,
 /// residual + layer norm + dropout regularization (Eq. 5).
@@ -169,16 +170,16 @@ impl TransDas {
         }
     }
 
-    /// Forward pass over a full window of keys. With `capture_attention`,
-    /// the first block's head-averaged attention matrix is written out
-    /// (used by the Figure 6 probe).
+    /// Forward pass over a full window of keys. `dropout` holds the
+    /// training masks in the order the forward applies them (two per block,
+    /// see [`TransDas::draw_noise`]); empty means no dropout, as in
+    /// evaluation. With `capture_attention`, the first block's head-averaged
+    /// attention matrix is written out (used by the Figure 6 probe).
     fn forward(
         &self,
         tape: &mut Tape,
         inputs: &[u32],
-        store: &ParamStore,
-        train: bool,
-        rng: &mut StdRng,
+        dropout: &[Tensor],
         mut capture_attention: Option<&mut Tensor>,
     ) -> Var {
         assert_eq!(
@@ -186,9 +187,18 @@ impl TransDas {
             self.cfg.window,
             "inputs must be one full window"
         );
+        assert!(
+            dropout.is_empty() || dropout.len() == 2 * self.blocks.len(),
+            "two dropout masks per block"
+        );
         let _forward_span = ucad_obs::span!("model.forward");
         forward_counter().inc();
-        let keep = if train { self.cfg.dropout_keep } else { 1.0 };
+        let store = &self.store;
+        let mut masks = dropout.iter();
+        let mut regularize = |tape: &mut Tape, x: Var| match masks.next() {
+            Some(mask) => tape.masked_dropout(x, mask.clone()),
+            None => x,
+        };
         let idx: Vec<usize> = inputs.iter().map(|&k| k as usize).collect();
         let emb = tape.param(store, self.embedding);
         let mut x = tape.gather_rows(emb, &idx);
@@ -237,7 +247,7 @@ impl TransDas {
             let wo = tape.param(store, block.wo);
             let projected = tape.matmul(mh, wo);
             // Reg(x) = LN(x + Dropout(f(x))), Eq. 5.
-            let dropped = tape.dropout(projected, keep, rng);
+            let dropped = regularize(tape, projected);
             let res = tape.add(x, dropped);
             let normed = block.ln1.forward(tape, store, res);
             drop(attention_span);
@@ -246,7 +256,7 @@ impl TransDas {
             let f1 = block.ffn1.forward(tape, store, normed);
             let act = tape.relu(f1);
             let f2 = block.ffn2.forward(tape, store, act);
-            let dropped2 = tape.dropout(f2, keep, rng);
+            let dropped2 = regularize(tape, f2);
             let res2 = tape.add(normed, dropped2);
             x = block.ln2.forward(tape, store, res2);
         }
@@ -462,9 +472,8 @@ impl TransDas {
     /// Prefer [`TransDas::output`], which avoids the tape allocation.
     pub fn output_reference(&self, inputs: &[u32]) -> Tensor {
         let padded = self.pad_window(inputs);
-        let mut rng = StdRng::seed_from_u64(0);
         let mut tape = Tape::new();
-        let o = self.forward(&mut tape, &padded, &self.store, false, &mut rng, None);
+        let o = self.forward(&mut tape, &padded, &[], None);
         tape.value(o).clone()
     }
 
@@ -493,17 +502,9 @@ impl TransDas {
     /// attention weights (`L x L`).
     pub fn output_with_attention(&self, inputs: &[u32]) -> (Tensor, Tensor) {
         let padded = self.pad_window(inputs);
-        let mut rng = StdRng::seed_from_u64(0);
         let mut tape = Tape::new();
         let mut attn = Tensor::zeros(self.cfg.window, self.cfg.window);
-        let o = self.forward(
-            &mut tape,
-            &padded,
-            &self.store,
-            false,
-            &mut rng,
-            Some(&mut attn),
-        );
+        let o = self.forward(&mut tape, &padded, &[], Some(&mut attn));
         (tape.value(o).clone(), attn)
     }
 
@@ -638,16 +639,32 @@ impl TransDas {
         windows
     }
 
+    /// Draws the randomness one training window consumes, in the order the
+    /// forward and loss use it: the dropout masks of each block (attention
+    /// output, then FFN output; none when `dropout_keep` is 1), then the
+    /// negative keys, one draw per position for each negative in turn. No
+    /// draw depends on model values, so a batch's noise can be drawn
+    /// serially before any of its windows runs.
+    fn draw_noise(&self, window: &Window, rng: &mut StdRng) -> WindowNoise {
+        let (l, h, keep) = (self.cfg.window, self.cfg.hidden, self.cfg.dropout_keep);
+        let dropout = if keep < 1.0 {
+            (0..2 * self.blocks.len())
+                .map(|_| dropout_mask(l, h, keep, rng))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let negatives = (0..self.cfg.negatives)
+            .map(|_| (0..l).map(|_| self.sample_negative(window, rng)).collect())
+            .collect();
+        WindowNoise { dropout, negatives }
+    }
+
     /// Builds the Eq. 11 loss for one window on `tape`.
-    fn window_loss(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        window: &Window,
-        rng: &mut StdRng,
-    ) -> Var {
+    fn window_loss(&self, tape: &mut Tape, window: &Window, noise: &WindowNoise) -> Var {
         let l = self.cfg.window;
-        let o = self.forward(tape, &window.inputs, store, true, rng, None);
+        let store = &self.store;
+        let o = self.forward(tape, &window.inputs, &noise.dropout, None);
         // Positive key embeddings and z+ per position (Eq. 10).
         let pos_idx: Vec<usize> = window.targets.iter().map(|&k| k as usize).collect();
         let emb_p = tape.param(store, self.embedding);
@@ -657,12 +674,12 @@ impl TransDas {
         let zpos = tape.sigmoid(zpos_logit);
         // Similarity logits per position for each negative draw
         // ("iteratively" sampled keys absent from the session).
-        let neg_logits: Vec<Var> = (0..self.cfg.negatives)
-            .map(|_| {
-                let neg_idx: Vec<usize> =
-                    (0..l).map(|_| self.sample_negative(window, rng)).collect();
+        let neg_logits: Vec<Var> = noise
+            .negatives
+            .iter()
+            .map(|neg_idx| {
                 let emb_n = tape.param(store, self.embedding);
-                let n = tape.gather_rows(emb_n, &neg_idx);
+                let n = tape.gather_rows(emb_n, neg_idx);
                 let on = tape.hadamard(o, n);
                 tape.sum_rows(on)
             })
@@ -775,9 +792,9 @@ impl TransDas {
             ucad_obs::latency_log_bounds(),
         );
         // Per-stage attribution of each optimizer step: forward and
-        // backward are summed across the batch's windows (and workers),
-        // reduction covers gradient merge + averaging + clipping, optim the
-        // Adam update + k0 re-zero.
+        // backward are summed across the batch's windows (CPU time across
+        // pool threads), reduction covers the in-order gradient apply +
+        // averaging + clipping, optim the Adam update + k0 re-zero.
         let stage_hist = |stage: &'static str| {
             obs.histogram(
                 "ucad_train_stage_duration_seconds",
@@ -863,81 +880,85 @@ impl TransDas {
         report
     }
 
-    /// Computes and accumulates gradients for one batch, splitting windows
-    /// across `cfg.threads` workers; returns the summed loss.
+    /// Computes and accumulates gradients for one batch; returns the summed
+    /// loss.
     fn accumulate_batch(&mut self, batch: &[Window], seed: u64) -> f64 {
         self.accumulate_batch_timed(batch, seed).loss
     }
 
     /// [`TransDas::accumulate_batch`] with per-stage wall-time attribution.
-    /// Forward and backward times are summed over the batch's windows; with
-    /// multiple workers they sum *across* workers too (CPU time, not wall
-    /// time — the stages overlap). `reduce_secs` is the cross-worker
-    /// gradient merge (zero on the single-thread path, where gradients land
-    /// in place).
+    ///
+    /// The batch's noise is drawn first, serially from one generator seeded
+    /// with `seed`, in window order. The windows' forward and backward
+    /// passes then run in parallel on the [`ucad_pool`] pool (each window's
+    /// kernels inline), reading `self.store` and recording their parameter
+    /// gradients in a [`GradLog`]. Last, the logs are applied window by
+    /// window in batch order. That is the f32 operation sequence of a
+    /// sequential loop that runs each window's backward straight into the
+    /// store, so the gradients — and the trained weights — are bit-identical
+    /// at every pool size.
+    ///
+    /// Forward and backward times are summed over the batch's windows (CPU
+    /// time, not wall time — the windows overlap); `reduce_secs` is the
+    /// in-order gradient apply.
     fn accumulate_batch_timed(&mut self, batch: &[Window], seed: u64) -> BatchTiming {
-        let threads = self.cfg.threads.min(batch.len()).max(1);
-        if threads == 1 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut timing = BatchTiming::default();
-            // Split borrows: read params through a snapshot reference while
-            // writing grads afterwards.
-            let snapshot = self.store.clone();
-            for w in batch {
-                let mut tape = Tape::new();
-                let t0 = Instant::now();
-                let loss = self.window_loss(&mut tape, &snapshot, w, &mut rng);
-                let t1 = Instant::now();
-                timing.loss += tape.backward(loss, &mut self.store) as f64;
-                timing.forward_secs += (t1 - t0).as_secs_f64();
-                timing.backward_secs += t1.elapsed().as_secs_f64();
-            }
-            return timing;
-        }
-        let chunk = batch.len().div_ceil(threads);
-        let snapshot = &self.store;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let noise: Vec<WindowNoise> = batch.iter().map(|w| self.draw_noise(w, &mut rng)).collect();
+        let runs: Vec<OnceLock<WindowRun>> = batch.iter().map(|_| OnceLock::new()).collect();
         let this = &*self;
-        let partials: Vec<(ParamStore, BatchTiming)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ti, chunk_windows)| {
-                    scope.spawn(move || {
-                        let mut local = snapshot.clone();
-                        local.zero_grad();
-                        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1 + ti as u64));
-                        let mut timing = BatchTiming::default();
-                        for w in chunk_windows {
-                            let mut tape = Tape::new();
-                            let t0 = Instant::now();
-                            let loss = this.window_loss(&mut tape, snapshot, w, &mut rng);
-                            let t1 = Instant::now();
-                            timing.loss += tape.backward(loss, &mut local) as f64;
-                            timing.forward_secs += (t1 - t0).as_secs_f64();
-                            timing.backward_secs += t1.elapsed().as_secs_f64();
-                        }
-                        (local, timing)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+        ucad_pool::current().parallel_for(batch.len(), 1, |w0, w1| {
+            for w in w0..w1 {
+                let run = ucad_pool::inline(|| this.run_window(&batch[w], &noise[w]));
+                runs[w]
+                    .set(run)
+                    .expect("parallel_for hands out each window index once");
+            }
         });
         let mut timing = BatchTiming::default();
         let reduce_start = Instant::now();
-        for (local, t) in partials {
-            timing.loss += t.loss;
-            timing.forward_secs += t.forward_secs;
-            timing.backward_secs += t.backward_secs;
-            for (i, p) in self.store.iter_mut().enumerate() {
-                p.grad.add_assign(&local.get(ucad_nn::ParamId(i)).grad);
-            }
+        for run in runs {
+            let run = run.into_inner().expect("every window ran");
+            timing.loss += run.loss as f64;
+            timing.forward_secs += run.forward_secs;
+            timing.backward_secs += run.backward_secs;
+            run.grads.apply(&mut self.store);
         }
         timing.reduce_secs = reduce_start.elapsed().as_secs_f64();
         timing
     }
+
+    /// One window's forward and deferred backward.
+    fn run_window(&self, window: &Window, noise: &WindowNoise) -> WindowRun {
+        let mut tape = Tape::new();
+        let t0 = Instant::now();
+        let loss = self.window_loss(&mut tape, window, noise);
+        let t1 = Instant::now();
+        let (loss, grads) = tape.backward_deferred(loss);
+        WindowRun {
+            loss,
+            grads,
+            forward_secs: (t1 - t0).as_secs_f64(),
+            backward_secs: t1.elapsed().as_secs_f64(),
+        }
+    }
+}
+
+/// The randomness one training window consumes (see
+/// [`TransDas::draw_noise`]).
+struct WindowNoise {
+    /// Dropout masks in forward order, two per block; empty without dropout.
+    dropout: Vec<Tensor>,
+    /// `negatives[j][i]`: the `j`-th negative key of position `i`.
+    negatives: Vec<Vec<usize>>,
+}
+
+/// One window's loss, deferred parameter gradients and stage times.
+#[derive(Debug)]
+struct WindowRun {
+    loss: f32,
+    grads: GradLog,
+    forward_secs: f64,
+    backward_secs: f64,
 }
 
 /// Per-stage wall-time split of one batch's gradient accumulation.
@@ -971,7 +992,6 @@ mod tests {
             epochs: 30,
             stride: 1,
             batch_size: 16,
-            threads: 1,
             // Seed picked so the themed-separation test trains to a wide
             // margin under the vendored RNG stream (most seeds do; 7 does
             // not).
@@ -1109,10 +1129,10 @@ mod tests {
         let sessions = cyclic_sessions(6, 10);
         let mut serial = TransDas::new(tiny_config(6));
         let serial_report = serial.train(&sessions);
-        let mut cfg = tiny_config(6);
-        cfg.threads = 4;
-        let mut parallel = TransDas::new(cfg);
-        let parallel_report = parallel.train(&sessions);
+        let mut parallel = TransDas::new(tiny_config(6));
+        let parallel_report = ucad_pool::with_pool(Arc::new(ucad_pool::Pool::new(4)), || {
+            parallel.train(&sessions)
+        });
         assert!(*serial_report.epoch_losses.last().unwrap() < 1.0);
         assert!(*parallel_report.epoch_losses.last().unwrap() < 1.0);
     }

@@ -92,7 +92,6 @@ mod tests {
             window: 6,
             epochs: 8,
             dropout_keep: 1.0,
-            threads: 1,
             mask: MaskMode::TransDas,
             ..TransDasConfig::scenario1(8)
         };
@@ -123,6 +122,22 @@ mod tests {
         let model = trained();
         let restored = TransDas::from_json(&model.to_json()).unwrap();
         assert_eq!(restored.cfg, model.cfg);
+    }
+
+    #[test]
+    fn snapshot_with_retired_threads_field_still_loads() {
+        // Snapshots written before training threads stopped being a model
+        // setting carry `"threads"` in their configuration.
+        let model = trained();
+        let json = model
+            .to_json()
+            .replacen("\"seed\":", "\"threads\":4,\"seed\":", 1);
+        assert!(json.contains("\"threads\":4"));
+        let restored = TransDas::from_json(&json).expect("old snapshot loads");
+        assert_eq!(restored.cfg, model.cfg);
+        for context in [[1u32, 2, 3].as_slice(), &[4, 1, 2, 3]] {
+            assert_eq!(model.next_scores(context), restored.next_scores(context));
+        }
     }
 
     #[test]

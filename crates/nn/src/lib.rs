@@ -41,6 +41,6 @@ pub mod params;
 pub mod tape;
 pub mod tensor;
 
-pub use params::{ImportError, Param, ParamId, ParamStore};
+pub use params::{GradLog, ImportError, Param, ParamId, ParamStore};
 pub use tape::{Tape, Var};
 pub use tensor::{AttentionScratch, Tensor};

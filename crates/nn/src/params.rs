@@ -83,11 +83,6 @@ impl ParamStore {
         }
     }
 
-    /// Adds `delta` into the gradient of `id`.
-    pub(crate) fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) {
-        self.params[id.0].grad.add_assign(delta);
-    }
-
     /// Iterates over `(ParamId, &Param)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Param)> {
         self.params.iter().enumerate().map(|(i, p)| (ParamId(i), p))
@@ -138,6 +133,84 @@ impl ParamStore {
             .iter()
             .map(|p| p.value.data().iter().map(|v| v * v).sum::<f32>())
             .sum()
+    }
+}
+
+/// Parameter-gradient contributions of one backward pass, recorded by
+/// [`Tape::backward_deferred`](crate::Tape::backward_deferred) in the order
+/// the pass produced them. [`GradLog::apply`] adds them to a store in that
+/// order — the f32 operation sequence of
+/// [`Tape::backward`](crate::Tape::backward) — so backward passes that run
+/// concurrently still accumulate bit-identically to a sequential loop when
+/// their logs are applied in the loop's order.
+///
+/// Only rows holding a nonzero element are kept: an embedding lookup
+/// touches a few rows of a `vocab x h` table. Dropping a zero row changes no
+/// bit, because a store gradient starts at `+0.0` after
+/// [`ParamStore::zero_grad`], an f32 sum is `-0.0` only when both terms
+/// are, and so the gradient is never `-0.0` and adding `±0.0` to it is the
+/// identity.
+#[derive(Debug, Default)]
+pub struct GradLog {
+    entries: Vec<GradEntry>,
+}
+
+#[derive(Debug)]
+struct GradEntry {
+    id: ParamId,
+    /// The parameter rows `values` holds, ascending; `None` when it holds
+    /// every row.
+    rows: Option<Vec<usize>>,
+    values: Tensor,
+}
+
+impl GradLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `grad` as the next gradient contribution to parameter `id`.
+    pub fn push(&mut self, id: ParamId, grad: Tensor) {
+        let rows: Vec<usize> = (0..grad.rows())
+            .filter(|&r| grad.row(r).iter().any(|&v| v != 0.0))
+            .collect();
+        let entry = if rows.len() == grad.rows() {
+            GradEntry {
+                id,
+                rows: None,
+                values: grad,
+            }
+        } else {
+            let packed = rows.iter().flat_map(|&r| grad.row(r)).copied().collect();
+            GradEntry {
+                id,
+                values: Tensor::from_vec(rows.len(), grad.cols(), packed),
+                rows: Some(rows),
+            }
+        };
+        self.entries.push(entry);
+    }
+
+    /// Adds every recorded contribution into `store`'s gradients, in
+    /// recording order.
+    ///
+    /// # Panics
+    /// Panics if a contribution does not match its parameter's shape.
+    pub fn apply(&self, store: &mut ParamStore) {
+        for e in &self.entries {
+            let grad = &mut store.params[e.id.0].grad;
+            let Some(rows) = &e.rows else {
+                grad.add_assign(&e.values);
+                continue;
+            };
+            assert_eq!(grad.cols(), e.values.cols(), "gradient row width mismatch");
+            for (i, &r) in rows.iter().enumerate() {
+                for (g, &v) in grad.row_mut(r).iter_mut().zip(e.values.row(i)) {
+                    *g += v;
+                }
+            }
+        }
     }
 }
 
@@ -195,12 +268,46 @@ mod tests {
         let id = store.add("w", Tensor::full(2, 2, 1.0));
         assert_eq!(store.len(), 1);
         assert_eq!(store.num_weights(), 4);
-        store.accumulate_grad(id, &Tensor::full(2, 2, 3.0));
+        let mut log = GradLog::new();
+        log.push(id, Tensor::full(2, 2, 3.0));
+        log.apply(&mut store);
         assert_eq!(store.get(id).grad.data()[0], 3.0);
-        store.accumulate_grad(id, &Tensor::full(2, 2, 1.0));
+        let mut log = GradLog::new();
+        log.push(id, Tensor::full(2, 2, 1.0));
+        log.apply(&mut store);
         assert_eq!(store.get(id).grad.data()[0], 4.0);
         store.zero_grad();
         assert_eq!(store.get(id).grad.data()[0], 0.0);
+    }
+
+    #[test]
+    fn grad_log_keeps_nonzero_rows_in_order() {
+        let mut store = ParamStore::new();
+        let id = store.add("emb", Tensor::zeros(4, 2));
+        let mut log = GradLog::new();
+        log.push(
+            id,
+            Tensor::from_vec(4, 2, vec![0.0, 0.0, 1.5, -0.0, 0.0, 0.0, 0.0, 2.0]),
+        );
+        log.push(
+            id,
+            Tensor::from_vec(4, 2, vec![0.0, -0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0]),
+        );
+        assert_eq!(log.entries[0].rows, Some(vec![1, 3]));
+        assert_eq!(log.entries[0].values.shape(), (2, 2));
+        log.apply(&mut store);
+        let bits: Vec<u32> = store
+            .get(id)
+            .grad
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = [0.0f32, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 2.0]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, want, "zero rows are skipped and no -0.0 appears");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! single reverse sweep. A new tape is built for every forward pass; trainable
 //! state lives in a [`ParamStore`] outside the tape.
 
-use crate::params::{ParamId, ParamStore};
+use crate::params::{GradLog, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
 
@@ -76,6 +76,19 @@ struct Node {
 /// Lower clamp applied inside [`Tape::log`] so `log(sigmoid(..))` stays finite
 /// even when the sigmoid saturates.
 pub const LOG_EPS: f32 = 1e-12;
+
+/// An inverted-dropout mask: each element is `1 / keep_prob` with
+/// probability `keep_prob` and `0.0` otherwise, drawn as one `f32` per
+/// element in row-major order.
+pub fn dropout_mask(rows: usize, cols: usize, keep_prob: f32, rng: &mut impl Rng) -> Tensor {
+    let mut mask = Tensor::zeros(rows, cols);
+    for v in mask.data_mut() {
+        if rng.gen::<f32>() < keep_prob {
+            *v = 1.0 / keep_prob;
+        }
+    }
+    mask
+}
 
 /// Computation tape for one forward pass.
 pub struct Tape {
@@ -244,7 +257,7 @@ impl Tape {
 
     /// Inverted dropout: keeps each element with probability `keep_prob` and
     /// scales kept elements by `1 / keep_prob`. `keep_prob >= 1.0` is the
-    /// identity (used at evaluation time).
+    /// identity (used at evaluation time). The mask is [`dropout_mask`]'s.
     pub fn dropout(&mut self, x: Var, keep_prob: f32, rng: &mut impl Rng) -> Var {
         assert!(keep_prob > 0.0, "keep_prob must be positive");
         if keep_prob >= 1.0 {
@@ -253,12 +266,18 @@ impl Tape {
             return self.push(v, Op::Dropout { x: x.0, mask });
         }
         let (rows, cols) = self.value(x).shape();
-        let mut mask = Tensor::zeros(rows, cols);
-        for v in mask.data_mut() {
-            if rng.gen::<f32>() < keep_prob {
-                *v = 1.0 / keep_prob;
-            }
-        }
+        let mask = dropout_mask(rows, cols, keep_prob, rng);
+        self.masked_dropout(x, mask)
+    }
+
+    /// Dropout under a mask drawn beforehand (see [`dropout_mask`]):
+    /// `x ⊙ mask`, with the mask cached for the backward pass. Lets a caller
+    /// draw every mask of a batch in a fixed order before running the
+    /// forwards in any order.
+    ///
+    /// # Panics
+    /// Panics if `mask` and `x` differ in shape.
+    pub fn masked_dropout(&mut self, x: Var, mask: Tensor) -> Var {
         let out = self.value(x).hadamard(&mask);
         self.push(out, Op::Dropout { x: x.0, mask })
     }
@@ -314,18 +333,35 @@ impl Tape {
     /// # Panics
     /// Panics if `loss` is not `1 x 1`.
     pub fn backward(&self, loss: Var, store: &mut ParamStore) -> f32 {
+        let (loss_value, log) = self.backward_deferred(loss);
+        log.apply(store);
+        loss_value
+    }
+
+    /// The backward pass of [`Tape::backward`] with the parameter-gradient
+    /// writes deferred: they are recorded, in the order the pass produces
+    /// them, in the returned [`GradLog`] instead of being added to a store.
+    /// Needs no store, so many tapes can run their backward passes
+    /// concurrently while reading the parameters they snapshot.
+    ///
+    /// # Panics
+    /// Panics if `loss` is not `1 x 1`.
+    pub fn backward_deferred(&self, loss: Var) -> (f32, GradLog) {
         let _backward_span = ucad_obs::span!("nn.backward");
         let loss_value = self.value(loss).item();
         let mut grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss.0] = Some(Tensor::scalar(1.0));
-
+        let mut log = GradLog::new();
         for i in (0..=loss.0).rev() {
             let Some(grad) = grads[i].take() else {
                 continue;
             };
-            self.propagate(i, &grad, &mut grads, store);
+            match self.nodes[i].op {
+                Op::Param(id) => log.push(id, grad),
+                _ => self.propagate(i, &grad, &mut grads),
+            }
         }
-        loss_value
+        (loss_value, log)
     }
 
     fn accum(grads: &mut [Option<Tensor>], idx: usize, delta: Tensor) {
@@ -336,22 +372,15 @@ impl Tape {
     }
 
     #[allow(clippy::needless_range_loop)] // parallel-buffer numeric kernels
-    fn propagate(
-        &self,
-        i: usize,
-        grad: &Tensor,
-        grads: &mut [Option<Tensor>],
-        store: &mut ParamStore,
-    ) {
+    fn propagate(&self, i: usize, grad: &Tensor, grads: &mut [Option<Tensor>]) {
         let node = &self.nodes[i];
         match &node.op {
-            Op::Constant => {}
-            Op::Param(id) => store.accumulate_grad(*id, grad),
+            // Parameter gradients leave through the log in `backward_deferred`.
+            Op::Constant | Op::Param(_) => {}
             Op::MatMul(a, b) => {
                 let av = &self.nodes[*a].value;
                 let bv = &self.nodes[*b].value;
-                // Transpose-packed kernels: bit-identical to
-                // grad * B^T and A^T * grad without the transpose copies.
+                // grad * B^T and A^T * grad.
                 Self::accum(grads, *a, grad.matmul_bt(bv));
                 Self::accum(grads, *b, av.matmul_at(grad));
             }

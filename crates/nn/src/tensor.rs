@@ -48,6 +48,76 @@ fn run_rows(rows: usize, flops: usize, body: impl Fn(usize, usize) + Sync) {
     body(0, rows);
 }
 
+/// Output rows at most this wide accumulate in a register block (see
+/// [`product`]): eight `f32` lanes, two SSE or one AVX register, as wide as
+/// the widest attention head of the paper's configurations (`h / m` is 5
+/// or 8).
+const NARROW: usize = 8;
+
+/// The i-k-j kernel behind every matrix product: the `rows x rhs.cols`
+/// tensor `out[i][j] = Σ_k a(i, k) * rhs[k][j]` over the rows `k` of `rhs`.
+/// Every output element starts at `0.0` and adds its terms k-ascending,
+/// skipping `a(i, k) == 0.0` (which makes padding and `k0` embeddings
+/// free); output rows are partitioned over the pool by [`run_rows`].
+///
+/// The innermost loop runs across an output row. A row of at most
+/// [`NARROW`] columns (attention heads are `h / m` wide) is accumulated in
+/// a fixed-width local block over a zero-padded copy of `rhs`, so each `k`
+/// is one full-width vector multiply-add instead of a short loop that
+/// re-reads and re-writes the output row. The padding lanes are discarded,
+/// so the kept lanes are the same f32 sums.
+fn product(rows: usize, rhs: &Tensor, a: impl Fn(usize, usize) -> f32 + Sync) -> Tensor {
+    let (inner, n) = rhs.shape();
+    let mut out = Tensor::zeros(rows, n);
+    if n == 0 {
+        return out;
+    }
+    let padded: Vec<f32> = if n <= NARROW {
+        let mut padded = vec![0.0; inner * NARROW];
+        for (dst, src) in padded
+            .chunks_exact_mut(NARROW)
+            .zip(rhs.data.chunks_exact(n))
+        {
+            dst[..n].copy_from_slice(src);
+        }
+        padded
+    } else {
+        Vec::new()
+    };
+    let out_ptr = SendPtr(out.data.as_mut_ptr());
+    run_rows(rows, rows * inner * n, |r0, r1| {
+        // SAFETY: chunks cover disjoint row ranges of `out` (see SendPtr).
+        let out_rows =
+            unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
+        for (i, out_row) in (r0..r1).zip(out_rows.chunks_exact_mut(n)) {
+            if n <= NARROW {
+                let mut acc = [0.0f32; NARROW];
+                for (k, b_row) in padded.chunks_exact(NARROW).enumerate() {
+                    let av = a(i, k);
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in acc.iter_mut().zip(b_row) {
+                        *o += av * b;
+                    }
+                }
+                out_row.copy_from_slice(&acc[..n]);
+                continue;
+            }
+            for (k, b_row) in rhs.data.chunks_exact(n).enumerate() {
+                let av = a(i, k);
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += av * b;
+                }
+            }
+        }
+    });
+    out
+}
+
 /// Reusable scratch for [`Tensor::masked_attention`] over windows of `len`
 /// keys and heads of `dim` columns: the `dim x len` transposed keys and one
 /// `len`-length score row. Build one per thread and reuse it across
@@ -242,40 +312,18 @@ impl Tensor {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Tensor::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
-        let out_ptr = SendPtr(out.data.as_mut_ptr());
-        run_rows(self.rows, self.rows * self.cols * n, |r0, r1| {
-            // SAFETY: chunks cover disjoint row ranges of `out` (see SendPtr).
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-            for i in r0..r1 {
-                let a_row = self.row(i);
-                let out_row = &mut out_rows[(i - r0) * n..(i - r0 + 1) * n];
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &rhs.data[k * n..(k + 1) * n];
-                    for j in 0..n {
-                        out_row[j] += a * b_row[j];
-                    }
-                }
-            }
-        });
-        out
+        let cols = self.cols;
+        product(self.rows, rhs, |i, k| self.data[i * cols + k])
     }
 
-    /// Transpose-packed product `self * rhs^T` without materializing the
-    /// transpose: `out[i][j] = Σ_k self[i,k] * rhs[j,k]`, i.e. a dot product
-    /// of two contiguous rows per output element.
+    /// Product `self * rhs^T`: `out[i][j] = Σ_k self[i,k] * rhs[j,k]`.
     ///
-    /// Bit-identical to `self.matmul(&rhs.transpose())`: per output element
-    /// the accumulation runs k-ascending with the same
-    /// `self[i,k] == 0.0` skip, so the f32 rounding sequence is unchanged —
-    /// only the memory access pattern (and the `rhs.rows * rhs.cols`
-    /// transpose copy) differs. Partitioned across output rows like
-    /// [`Tensor::matmul`].
+    /// Transposes `rhs` once, then runs [`Tensor::matmul`]'s i-k-j loop over
+    /// the copy, so the innermost loop is a contiguous axpy across output
+    /// columns that vectorises; a dot product per output element cannot,
+    /// its k-ascending sum being one serial dependency chain. Every output
+    /// element still starts at `0.0` and adds `self[i,k] * rhs[j,k]`
+    /// k-ascending with the `self[i,k] == 0.0` skip.
     ///
     /// # Panics
     /// Panics unless `self.cols == rhs.cols`.
@@ -285,31 +333,7 @@ impl Tensor {
             "matmul_bt shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let m = rhs.rows;
-        let inner = self.cols;
-        let mut out = Tensor::zeros(self.rows, m);
-        let out_ptr = SendPtr(out.data.as_mut_ptr());
-        run_rows(self.rows, self.rows * inner * m, |r0, r1| {
-            // SAFETY: chunks cover disjoint row ranges of `out` (see SendPtr).
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * m), (r1 - r0) * m) };
-            for i in r0..r1 {
-                let a_row = self.row(i);
-                let out_row = &mut out_rows[(i - r0) * m..(i - r0 + 1) * m];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let b_row = &rhs.data[j * inner..(j + 1) * inner];
-                    let mut acc = 0.0f32;
-                    for (k, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        acc += a * b_row[k];
-                    }
-                    *o = acc;
-                }
-            }
-        });
-        out
+        self.matmul(&rhs.transpose())
     }
 
     /// Fused masked attention for one window and one head:
@@ -403,14 +427,13 @@ impl Tensor {
         }
     }
 
-    /// Transpose-packed product `self^T * rhs` without materializing the
-    /// transpose: `out[i][j] = Σ_k self[k,i] * rhs[k,j]`.
+    /// Product `self^T * rhs` without materializing the transpose:
+    /// `out[i][j] = Σ_k self[k,i] * rhs[k,j]`.
     ///
-    /// Bit-identical to `self.transpose().matmul(rhs)`: the k-outer,
-    /// j-inner loop shape and the `self[k,i] == 0.0` skip are exactly those
-    /// of [`Tensor::matmul`] applied to the transposed operand, so each
-    /// output element sees the same k-ascending f32 additions. Partitioned
-    /// across output rows (columns of `self`).
+    /// Bit-identical to `self.transpose().matmul(rhs)`: the same i-k-j loop
+    /// as [`Tensor::matmul`] reads `self` column-wise, so each output
+    /// element sees the same k-ascending f32 additions and `self[k,i] ==
+    /// 0.0` skip. Partitioned across output rows (columns of `self`).
     ///
     /// # Panics
     /// Panics unless `self.rows == rhs.rows`.
@@ -420,29 +443,8 @@ impl Tensor {
             "matmul_at shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let n = rhs.cols;
-        let inner = self.rows;
-        let mut out = Tensor::zeros(self.cols, n);
-        let out_ptr = SendPtr(out.data.as_mut_ptr());
-        run_rows(self.cols, self.cols * inner * n, |r0, r1| {
-            // SAFETY: chunks cover disjoint row ranges of `out` (see SendPtr).
-            let out_rows =
-                unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * n), (r1 - r0) * n) };
-            for i in r0..r1 {
-                let out_row = &mut out_rows[(i - r0) * n..(i - r0 + 1) * n];
-                for k in 0..inner {
-                    let a = self.data[k * self.cols + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &rhs.data[k * n..(k + 1) * n];
-                    for j in 0..n {
-                        out_row[j] += a * b_row[j];
-                    }
-                }
-            }
-        });
-        out
+        let cols = self.cols;
+        product(cols, rhs, |i, k| self.data[k * cols + i])
     }
 
     /// Transposed copy.

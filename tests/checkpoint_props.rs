@@ -30,7 +30,6 @@ fn tiny_model(epochs: usize) -> TransDas {
         window: 6,
         epochs,
         dropout_keep: 1.0,
-        threads: 1,
         mask: MaskMode::TransDas,
         ..TransDasConfig::scenario1(8)
     };

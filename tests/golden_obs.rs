@@ -114,7 +114,6 @@ fn scenario1_obs_counters_match_golden_fixture() {
         blocks: 2,
         window: 12,
         epochs: 12,
-        threads: 1,
         ..cfg.model
     };
     let (system, _) = Ucad::train(&raw.sessions, cfg);

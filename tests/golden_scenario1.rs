@@ -38,7 +38,6 @@ fn golden_run() -> MethodResult {
         epochs: 6,
         stride: 1,
         batch_size: 16,
-        threads: 1,
         seed: 42,
     };
     let (result, _) = run_transdas(&data, "golden", model_cfg, DetectorConfig::scenario1());

@@ -300,7 +300,6 @@ fn whole_model_loss_gradient_matches_finite_differences() {
         epochs: 1,
         stride: 1,
         batch_size: 16,
-        threads: 1,
         seed: 42,
     };
     let mut model = TransDas::new(cfg);

@@ -14,7 +14,6 @@ fn cfg(mask: MaskMode, positional: bool) -> TransDasConfig {
         positional,
         mask,
         dropout_keep: 1.0,
-        threads: 1,
         ..TransDasConfig::scenario1(12)
     }
 }

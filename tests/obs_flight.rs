@@ -66,7 +66,6 @@ fn flight_recorder_captures_injected_anomaly_context() {
         blocks: 2,
         window: 12,
         epochs: 12,
-        threads: 1,
         ..cfg.model
     };
     let (system, _) = Ucad::train(&raw.sessions, cfg);

@@ -59,7 +59,6 @@ fn tiny_model() -> &'static TransDas {
             heads: 2,
             blocks: 1,
             window: 6,
-            threads: 1,
             ..TransDasConfig::scenario1(8)
         };
         TransDas::new(cfg)
@@ -121,9 +120,9 @@ proptest! {
         let at_ref = scalar_matmul(&a.transpose(), &at_rhs);
         for pool in pools() {
             with_pool(Arc::clone(pool), || {
-                prop_assert_eq!(&a.matmul(&b), &mm_ref);
-                prop_assert_eq!(&a.matmul_bt(&bt_rhs), &bt_ref);
-                prop_assert_eq!(&a.matmul_at(&at_rhs), &at_ref);
+                prop_assert_eq!(bits(&a.matmul(&b)), bits(&mm_ref));
+                prop_assert_eq!(bits(&a.matmul_bt(&bt_rhs)), bits(&bt_ref));
+                prop_assert_eq!(bits(&a.matmul_at(&at_rhs)), bits(&at_ref));
             });
         }
     }
@@ -271,7 +270,6 @@ fn next_scores_is_the_last_row_under_every_mask_mode() {
             heads: 2,
             blocks: 2,
             window: 6,
-            threads: 1,
             mask,
             ..TransDasConfig::scenario1(8)
         });

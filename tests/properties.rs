@@ -174,7 +174,6 @@ mod detector_props {
             window: 6,
             epochs: 6,
             dropout_keep: 1.0,
-            threads: 1,
             ..TransDasConfig::scenario1(8)
         };
         let mut model = TransDas::new(cfg);
