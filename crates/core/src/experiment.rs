@@ -23,8 +23,7 @@ pub struct TokenizedDataset {
 impl TokenizedDataset {
     /// Tokenizes a generated dataset.
     pub fn from_dataset(ds: &ScenarioDataset) -> Self {
-        let vocab = Vocabulary::from_sessions(&ds.train);
-        let train = ds.train.iter().map(|s| vocab.tokenize_session(s)).collect();
+        let (vocab, train) = Vocabulary::build_tokenized(&ds.train);
         let sets = ds.test_sets();
         let test_sets = sets.map(|(name, sessions)| {
             let truth = sessions.first().map(|s| s.is_abnormal()).unwrap_or(false);

@@ -37,7 +37,7 @@ pub mod zipf;
 pub use ast::{Condition, OpKind, Projection, Statement, Value};
 pub use audit::{AuditLog, AuditedDatabase, LogRecord, SessionContext};
 pub use engine::{Database, ExecError, ExecResult, Table};
-pub use parser::{parse, ParseError};
+pub use parser::{abstract_template, parse, ParseError};
 pub use tenants::{
     fleet_events, interleave_zipf, tenant_serving_events, training_records, FleetEvent,
     TenantArchetype, TenantSpec,

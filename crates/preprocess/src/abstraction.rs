@@ -4,112 +4,58 @@
 //! fine-grained differences (different columns, different `IN` arity,
 //! different tuple counts) stay distinguishable while concrete literal values
 //! (which would explode the vocabulary and leak user data) are folded away.
+//! The supported SQL subset's grammar lives in `ucad_dbsim::parser`; this
+//! module adds only the literal-level fallback for everything else.
 
-use ucad_dbsim::{parse, Condition, Statement, Value};
+use std::fmt::Write;
+use ucad_dbsim::abstract_template;
 
 /// Abstracts one SQL statement: every literal becomes `$k`, numbered in
-/// order of appearance. Statements that do not parse in the supported subset
-/// fall back to [`abstract_literals`], so the tokenizer never drops input.
+/// order of appearance. Statements in the supported subset get
+/// [`abstract_template`]'s canonical form; the rest fall back to
+/// [`abstract_literals`], so the tokenizer never drops input.
 pub fn abstract_statement(sql: &str) -> String {
-    match parse(sql) {
-        Ok(stmt) => abstract_parsed(&stmt),
-        Err(_) => abstract_literals(sql),
-    }
-}
-
-/// Abstracts a parsed statement.
-pub fn abstract_parsed(stmt: &Statement) -> String {
-    let mut counter = 0usize;
-    let mut ph = || {
-        counter += 1;
-        Value::Str(format!("${counter}"))
-    };
-    let conds = |conds: &[Condition], ph: &mut dyn FnMut() -> Value| -> Vec<Condition> {
-        conds
-            .iter()
-            .map(|c| match c {
-                Condition::Eq(col, _) => Condition::Eq(col.clone(), ph()),
-                Condition::In(col, vs) => {
-                    Condition::In(col.clone(), vs.iter().map(|_| ph()).collect())
-                }
-            })
-            .collect()
-    };
-    let abstracted = match stmt {
-        Statement::Insert {
-            table,
-            columns,
-            rows,
-        } => Statement::Insert {
-            table: table.clone(),
-            columns: columns.clone(),
-            rows: rows
-                .iter()
-                .map(|r| r.iter().map(|_| ph()).collect())
-                .collect(),
-        },
-        Statement::Select {
-            table,
-            projection,
-            conditions,
-        } => Statement::Select {
-            table: table.clone(),
-            projection: projection.clone(),
-            conditions: conds(conditions, &mut ph),
-        },
-        Statement::Update {
-            table,
-            assignments,
-            conditions,
-        } => Statement::Update {
-            table: table.clone(),
-            assignments: assignments.iter().map(|(c, _)| (c.clone(), ph())).collect(),
-            conditions: conds(conditions, &mut ph),
-        },
-        Statement::Delete { table, conditions } => Statement::Delete {
-            table: table.clone(),
-            conditions: conds(conditions, &mut ph),
-        },
-    };
-    // Strip the quotes Display adds around string values: placeholders print
-    // as `'$1'`; normalize to `$1`.
-    abstracted.to_string().replace('\'', "")
+    abstract_template(sql).unwrap_or_else(|| abstract_literals(sql))
 }
 
 /// Literal-level fallback abstraction: numbers and quoted strings become
-/// `$k`. Used for statements outside the parsed subset and for free-form
-/// log lines.
+/// `$k`; everything else is copied unchanged. Used for statements outside
+/// the parsed subset and for free-form log lines.
 pub fn abstract_literals(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let bytes = text.as_bytes();
+    // Start of the not-yet-copied span. Literals begin and end at ASCII
+    // bytes, so every span boundary is a char boundary.
+    let mut copied = 0;
     let mut i = 0;
     let mut counter = 0usize;
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c == '\'' {
-            let mut j = i + 1;
-            while j < bytes.len() && bytes[j] as char != '\'' {
-                j += 1;
+        let end = match bytes[i] {
+            b'\'' => bytes[i + 1..]
+                .iter()
+                .position(|&b| b == b'\'')
+                .map_or(bytes.len(), |len| i + len + 2),
+            b'0'..=b'9'
+                if i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') =>
+            {
+                i + 1
+                    + bytes[i + 1..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_digit())
+                        .count()
             }
-            counter += 1;
-            out.push_str(&format!("${counter}"));
-            i = (j + 1).min(bytes.len());
-        } else if c.is_ascii_digit()
-            && (i == 0
-                || !(bytes[i - 1] as char).is_ascii_alphanumeric() && bytes[i - 1] as char != '_')
-        {
-            let mut j = i + 1;
-            while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                j += 1;
+            _ => {
+                i += 1;
+                continue;
             }
-            counter += 1;
-            out.push_str(&format!("${counter}"));
-            i = j;
-        } else {
-            out.push(c);
-            i += 1;
-        }
+        };
+        out.push_str(&text[copied..i]);
+        counter += 1;
+        let _ = write!(out, "${counter}");
+        i = end;
+        copied = end;
     }
+    out.push_str(&text[copied..]);
     out
 }
 
@@ -187,6 +133,42 @@ mod tests {
             "identifier digits must survive: {a}"
         );
         assert!(!a.contains("=5"));
+    }
+
+    #[test]
+    fn fallback_keeps_non_ascii_text_intact() {
+        assert_eq!(
+            abstract_literals("SELECT na\u{ef}ve FROM t WHERE a=1"),
+            "SELECT na\u{ef}ve FROM t WHERE a=$1"
+        );
+        assert_eq!(
+            abstract_literals("DROP TABLE caf\u{e9}; -- 42"),
+            "DROP TABLE caf\u{e9}; -- $1"
+        );
+        // Quoted non-ASCII text is a literal like any other.
+        assert_eq!(
+            abstract_literals("DROP TABLE \u{00fc}ber WHERE x='\u{65e5}\u{672c}' AND y=7"),
+            "DROP TABLE \u{00fc}ber WHERE x=$1 AND y=$2"
+        );
+        // Outside the parsed subset, so these reach the fallback whole.
+        assert_eq!(
+            abstract_statement("SELECT * FROM t WHERE n='Zo\u{eb}' AND caf\u{e9}=3"),
+            "SELECT * FROM t WHERE n=$1 AND caf\u{e9}=$2"
+        );
+    }
+
+    #[test]
+    fn non_ascii_string_literals_parse_and_abstract() {
+        assert_eq!(
+            abstract_statement("UPDATE t SET name='J\u{fc}rgen' WHERE id=7"),
+            "UPDATE t SET name=$1 WHERE id=$2"
+        );
+    }
+
+    #[test]
+    fn fallback_closes_an_unterminated_quote_at_end_of_text() {
+        assert_eq!(abstract_literals("a='open 12"), "a=$1");
+        assert_eq!(abstract_literals("x1 1x _2 (3)"), "x1 $1x _2 ($2)");
     }
 
     #[test]

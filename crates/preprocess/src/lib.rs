@@ -98,16 +98,11 @@ impl Preprocessor {
 
         // The vocabulary is built from policy-passing sessions only, so
         // statements seen exclusively in filtered noise stay unknown (k0).
-        let _tokenize_span = ucad_obs::span!("preprocess.tokenize");
-        let passing_owned: Vec<Session> = passing.iter().map(|&s| s.clone()).collect();
-        let vocab = Vocabulary::from_sessions(&passing_owned);
+        let (vocab, tokenized) = {
+            let _s = ucad_obs::span!("preprocess.tokenize");
+            Vocabulary::build_tokenized(passing.iter().copied())
+        };
         report.vocab_size = vocab.len();
-
-        let tokenized: Vec<Vec<u32>> = passing_owned
-            .iter()
-            .map(|s| vocab.tokenize_session(s))
-            .collect();
-        drop(_tokenize_span);
         let purified = if config.clean {
             let mut rng = StdRng::seed_from_u64(seed);
             let (outcome, stats) = clean_sessions(&tokenized, &config.cleaner, &mut rng);

@@ -33,13 +33,28 @@ impl Vocabulary {
 
     /// Builds a vocabulary from raw SQL sessions (abstracting each op).
     pub fn from_sessions(sessions: &[Session]) -> Self {
+        Self::build_tokenized(sessions).0
+    }
+
+    /// Builds a vocabulary from raw SQL sessions and returns each session's
+    /// key sequence with it, abstracting every statement once. Keys are
+    /// assigned in first-seen order, so both halves equal
+    /// [`Vocabulary::from_sessions`] followed by
+    /// [`Vocabulary::tokenize_session`] on every session.
+    pub fn build_tokenized<'a>(
+        sessions: impl IntoIterator<Item = &'a Session>,
+    ) -> (Self, Vec<Vec<u32>>) {
         let mut v = Vocabulary::default();
-        for s in sessions {
-            for op in &s.ops {
-                v.intern(abstract_statement(&op.sql));
-            }
-        }
-        v
+        let keys = sessions
+            .into_iter()
+            .map(|s| {
+                s.ops
+                    .iter()
+                    .map(|op| v.intern(abstract_statement(&op.sql)))
+                    .collect()
+            })
+            .collect();
+        (v, keys)
     }
 
     /// Builds a vocabulary from pre-templated event sequences (system logs).
