@@ -12,10 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod slo;
-
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use ucad::TokenizedDataset;
 use ucad_model::{DetectionMode, DetectorConfig, TransDasConfig};
 use ucad_trace::{ScenarioDataset, ScenarioSpec};
@@ -113,81 +109,6 @@ pub fn scenario2(seed: u64) -> Scenario2Bundle {
         detector,
         full,
     }
-}
-
-/// One serving row of the parallel-bench ledger: throughput of the
-/// streaming baseline and the Block+memo sharded engine at one
-/// `UCAD_THREADS` setting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchRow {
-    /// Worker threads of the compute pool (`UCAD_THREADS`).
-    pub threads: usize,
-    /// Single-threaded streaming baseline, records/s.
-    pub base_rps: f64,
-    /// Sharded engine at 1 shard, records/s.
-    pub sharded_rps_x1: f64,
-    /// Sharded engine at 4 shards, records/s.
-    pub sharded_rps_x4: f64,
-    /// `sharded_rps_x4 / base_rps` — the harness acceptance ratio.
-    pub speedup_x4: f64,
-}
-
-/// One training row of the parallel-bench ledger.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainBenchRow {
-    /// Worker threads of the compute pool (`UCAD_THREADS`).
-    pub threads: usize,
-    /// Training windows processed per second (all epochs).
-    pub windows_per_s: f64,
-    /// Final-epoch mean loss, pinning that thread count leaves the
-    /// arithmetic unchanged.
-    pub final_loss: f32,
-}
-
-/// The `BENCH_parallel.json` ledger: thread-count scaling of serving and
-/// training, written by the `serve_throughput` and `train_step` harnesses
-/// and checked by the CI bench-smoke job.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ParallelLedger {
-    /// Serving rows, one per measured thread count.
-    pub serve: Vec<ServeBenchRow>,
-    /// Training rows, one per measured thread count.
-    pub train: Vec<TrainBenchRow>,
-}
-
-impl ParallelLedger {
-    /// Replaces (or appends) the serving row for `row.threads`.
-    pub fn upsert_serve(&mut self, row: ServeBenchRow) {
-        self.serve.retain(|r| r.threads != row.threads);
-        self.serve.push(row);
-        self.serve.sort_by_key(|r| r.threads);
-    }
-
-    /// Replaces (or appends) the training row for `row.threads`.
-    pub fn upsert_train(&mut self, row: TrainBenchRow) {
-        self.train.retain(|r| r.threads != row.threads);
-        self.train.push(row);
-        self.train.sort_by_key(|r| r.threads);
-    }
-}
-
-/// Path of `BENCH_parallel.json` at the workspace root.
-pub fn parallel_ledger_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json")
-}
-
-/// Loads the ledger, or an empty one when absent/unreadable.
-pub fn load_parallel_ledger() -> ParallelLedger {
-    std::fs::read_to_string(parallel_ledger_path())
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_default()
-}
-
-/// Writes the ledger back to the workspace root.
-pub fn store_parallel_ledger(ledger: &ParallelLedger) {
-    let json = serde_json::to_string(ledger).expect("ledger serialization cannot fail");
-    std::fs::write(parallel_ledger_path(), json + "\n").expect("cannot write BENCH_parallel.json");
 }
 
 /// Formats a `(value, f1)` series like the paper's figures.

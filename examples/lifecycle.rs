@@ -77,7 +77,11 @@ fn main() {
 
     // 2. Checkpoint v0: content-hashed id, CRC-validated envelope, atomic
     //    rename-on-commit, at most 3 resident versions.
-    let store = CheckpointStore::open("target/lifecycle-checkpoints", 3).expect("open store");
+    //    The store starts empty: a version already committed by an earlier
+    //    run would only be re-marked latest, with no `life.checkpoint` event.
+    let dir = "target/lifecycle-checkpoints";
+    let _ = std::fs::remove_dir_all(dir);
+    let store = CheckpointStore::open(dir, 3).expect("open store");
     // Gate thresholds are scenario-tuned: this small demo model carries a
     // noticeable false-alarm rate, so the ceiling sits above it while the
     // regression slack still rejects a clearly worse candidate.
