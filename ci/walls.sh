@@ -63,6 +63,7 @@ wall_build() {
 wall_determinism() {
   cargo test --release --test serve_determinism -- --nocapture
   cargo test --release --test serve_cache
+  cargo test --release --test derived_weights
   cargo test --release --test grad_wall
   cargo test --release --test golden_scenario1
   cargo test --release --test parallel_props

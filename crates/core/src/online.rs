@@ -89,7 +89,8 @@ pub trait ServeObserver: Send + Sync {
     /// arrival sequence number [`crate::serve::ShardedOnlineUcad`] stamped
     /// at submit time. Fired from the shard worker right after the model
     /// (or, for degraded records, the fallback) scored the record — the
-    /// completion signal SLO harnesses key their end-to-end latency off.
+    /// completion signal perfbench's open loop keys its end-to-end latency
+    /// off.
     /// Shed records never fire it; supervision replay fires it once for
     /// entries the crashed worker had not yet processed.
     fn on_scored(&self, seq: u64) {

@@ -2,11 +2,12 @@
 //!
 //! Multi-tenant database fleets are famously skewed: a handful of tenants
 //! produce most of the traffic while a long tail stays almost idle. The
-//! Scenario-III fleet generator ([`crate::tenants`]) and the SLO harness
-//! both need the same reproducible skew, so the sampler lives here as a
-//! tiny self-contained primitive: a precomputed CDF over `n` ranks with a
-//! splitmix64 PRNG, no floating-point surprises across platforms beyond
-//! the usual IEEE determinism (same seed → same rank sequence everywhere).
+//! Scenario-III fleet generator ([`crate::tenants`]) and perfbench's
+//! tenant-churn stream (its closed and open loop) both need the same
+//! reproducible skew, so the sampler lives here as a tiny self-contained
+//! primitive: a precomputed CDF over `n` ranks with a splitmix64 PRNG, no
+//! floating-point surprises across platforms beyond the usual IEEE
+//! determinism (same seed → same rank sequence everywhere).
 
 /// A seeded sampler drawing 0-based ranks with probability proportional to
 /// `1 / (rank + 1)^exponent` (rank 0 is the hottest).

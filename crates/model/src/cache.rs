@@ -20,13 +20,15 @@
 //! handles — [`CacheStats`] is a view over those handles, and
 //! [`ScoreCache::register_metrics`] exposes the same cells on a metrics
 //! registry (`ucad_cache_*`), so the snapshot API and the exposition can
-//! never disagree. Eviction is least-recently-used via per-entry use
-//! stamps; the `O(capacity)` eviction scan only runs on a miss at capacity
-//! and is negligible next to the transformer forward pass it replaces.
+//! never disagree. Eviction is least-recently-used: every lookup or insert
+//! takes the next stamp of a strictly increasing clock, and a recency index
+//! ordered by stamp names the victim in `O(log capacity)`, so a miss at
+//! capacity never scans the resident entries while the other shards wait
+//! on the lock.
 //!
 //! [`TransDas::position_scores`]: crate::TransDas::position_scores
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ucad_nn::Tensor;
@@ -84,6 +86,10 @@ struct Entry {
 struct Lru {
     /// One map per [`ScoreRows`] kind, indexed by [`Lru::slot`].
     maps: [HashMap<Vec<u32>, Entry>; 2],
+    /// Every resident entry by its `last_used` stamp: `(slot, window)`.
+    /// Stamps are unique (the clock strictly increases), so the first key
+    /// is the least recently used entry of either kind.
+    recency: BTreeMap<u64, (usize, Vec<u32>)>,
     clock: u64,
     capacity: usize,
 }
@@ -130,6 +136,7 @@ impl ScoreCache {
         ScoreCache {
             inner: Mutex::new(Lru {
                 maps: [HashMap::new(), HashMap::new()],
+                recency: BTreeMap::new(),
                 clock: 0,
                 capacity,
             }),
@@ -193,19 +200,26 @@ impl ScoreCache {
     }
 
     fn get_inner(&self, window: &[u32], rows: ScoreRows) -> Option<Arc<Tensor>> {
-        let mut lru = self.inner.lock().expect("score cache poisoned");
+        let mut guard = self.inner.lock().expect("score cache poisoned");
+        let lru = &mut *guard;
         lru.clock += 1;
         let clock = lru.clock;
         let epoch = self.epoch.load(Ordering::SeqCst);
-        let map = &mut lru.maps[Lru::slot(rows)];
-        match map.get_mut(window) {
+        let slot = Lru::slot(rows);
+        match lru.maps[slot].get_mut(window) {
             Some(entry) if entry.epoch == epoch => {
+                let key = lru
+                    .recency
+                    .remove(&entry.last_used)
+                    .expect("every resident entry is indexed");
+                lru.recency.insert(clock, key);
                 entry.last_used = clock;
                 self.hits.inc();
                 Some(Arc::clone(&entry.scores))
             }
-            Some(_) => {
-                map.remove(window);
+            Some(entry) => {
+                lru.recency.remove(&entry.last_used);
+                lru.maps[slot].remove(window);
                 self.stale_drops.inc();
                 self.misses.inc();
                 self.resident.set(lru.len() as f64);
@@ -221,32 +235,27 @@ impl ScoreCache {
     /// Inserts the freshly computed `rows` of a window's scores, evicting
     /// the least recently used entry of either kind when at capacity.
     pub fn insert(&self, window: Vec<u32>, rows: ScoreRows, scores: Arc<Tensor>) {
-        let mut lru = self.inner.lock().expect("score cache poisoned");
+        let mut guard = self.inner.lock().expect("score cache poisoned");
+        let lru = &mut *guard;
         lru.clock += 1;
         let clock = lru.clock;
         let slot = Lru::slot(rows);
         if !lru.maps[slot].contains_key(&window) && lru.len() >= lru.capacity {
-            if let Some((victim_slot, oldest)) = lru
-                .maps
-                .iter()
-                .enumerate()
-                .flat_map(|(i, map)| map.iter().map(move |(k, e)| (e.last_used, i, k)))
-                .min_by_key(|&(last_used, _, _)| last_used)
-                .map(|(_, i, k)| (i, k.clone()))
-            {
+            if let Some((_, (victim_slot, oldest))) = lru.recency.pop_first() {
                 lru.maps[victim_slot].remove(&oldest);
                 self.evictions.inc();
             }
         }
         let epoch = self.epoch.load(Ordering::SeqCst);
-        lru.maps[slot].insert(
-            window,
-            Entry {
-                scores,
-                last_used: clock,
-                epoch,
-            },
-        );
+        let entry = Entry {
+            scores,
+            last_used: clock,
+            epoch,
+        };
+        lru.recency.insert(clock, (slot, window.clone()));
+        if let Some(old) = lru.maps[slot].insert(window, entry) {
+            lru.recency.remove(&old.last_used);
+        }
         self.resident.set(lru.len() as f64);
     }
 
@@ -410,6 +419,126 @@ mod tests {
         assert!(cache.get(&[1, 2], ScoreRows::All).is_none());
         assert!(cache.get(&[1, 2], ScoreRows::Last).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    /// The eviction rule the recency index replaces: scan every resident
+    /// entry of both kinds for the smallest `last_used` stamp.
+    #[derive(Default)]
+    struct ScanLru {
+        maps: [HashMap<Vec<u32>, (u64, u64)>; 2],
+        clock: u64,
+        epoch: u64,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+        stale_drops: u64,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, window: &[u32], slot: usize) -> bool {
+            self.clock += 1;
+            match self.maps[slot].get_mut(window) {
+                Some((last_used, epoch)) if *epoch == self.epoch => {
+                    *last_used = self.clock;
+                    self.hits += 1;
+                    true
+                }
+                Some(_) => {
+                    self.maps[slot].remove(window);
+                    self.stale_drops += 1;
+                    self.misses += 1;
+                    false
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, window: Vec<u32>, slot: usize, capacity: usize) {
+            self.clock += 1;
+            let resident: usize = self.maps.iter().map(HashMap::len).sum();
+            if !self.maps[slot].contains_key(&window) && resident >= capacity {
+                let (victim_slot, oldest) = self
+                    .maps
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, m)| m.iter().map(move |(k, e)| (e.0, i, k.clone())))
+                    .min()
+                    .map(|(_, i, k)| (i, k))
+                    .expect("a full cache has a victim");
+                self.maps[victim_slot].remove(&oldest);
+                self.evictions += 1;
+            }
+            self.maps[slot].insert(window, (self.clock, self.epoch));
+        }
+
+        fn resident(&self) -> Vec<(usize, Vec<u32>)> {
+            let mut all: Vec<(usize, Vec<u32>)> = (0..2)
+                .flat_map(|i| self.maps[i].keys().map(move |k| (i, k.clone())))
+                .collect();
+            all.sort();
+            all
+        }
+    }
+
+    #[test]
+    fn recency_index_evicts_exactly_what_the_full_scan_evicts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(1..=8);
+            let cache = ScoreCache::new(capacity);
+            let mut reference = ScanLru::default();
+            for step in 0..2000 {
+                let window = vec![rng.gen_range(0..12u32), rng.gen_range(0..2u32)];
+                let (rows, slot) = if rng.gen_range(0..2) == 0 {
+                    (ScoreRows::All, 0)
+                } else {
+                    (ScoreRows::Last, 1)
+                };
+                match rng.gen_range(0..20) {
+                    0 => {
+                        cache.advance_epoch();
+                        reference.epoch += 1;
+                    }
+                    1..=9 => {
+                        let hit = cache.get(&window, rows).is_some();
+                        assert_eq!(hit, reference.get(&window, slot), "seed {seed} step {step}");
+                    }
+                    _ => {
+                        cache.insert(window.clone(), rows, scores(step as f32));
+                        reference.insert(window, slot, capacity);
+                    }
+                }
+                let s = cache.stats();
+                assert_eq!(
+                    (s.hits, s.misses, s.evictions, s.stale_drops),
+                    (
+                        reference.hits,
+                        reference.misses,
+                        reference.evictions,
+                        reference.stale_drops
+                    ),
+                    "seed {seed} step {step}"
+                );
+                let lru = cache.inner.lock().unwrap();
+                let mut resident: Vec<(usize, Vec<u32>)> = (0..2)
+                    .flat_map(|i| lru.maps[i].keys().map(move |k| (i, k.clone())))
+                    .collect();
+                resident.sort();
+                assert_eq!(resident, reference.resident(), "seed {seed} step {step}");
+                let mut indexed: Vec<(usize, Vec<u32>)> = lru.recency.values().cloned().collect();
+                indexed.sort();
+                assert_eq!(
+                    indexed, resident,
+                    "index out of step at seed {seed} step {step}"
+                );
+            }
+            assert!(reference.evictions > 0 && reference.stale_drops > 0 && reference.hits > 0);
+        }
     }
 
     #[test]

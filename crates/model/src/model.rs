@@ -10,14 +10,13 @@ use crate::mask::build_mask;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use ucad_nn::init::{normal, xavier_uniform};
 use ucad_nn::layers::{LayerNorm, Linear};
 use ucad_nn::optim::{Adam, Optimizer};
 use ucad_nn::tape::dropout_mask;
-use ucad_nn::{AttentionScratch, GradLog, ParamId, ParamStore, Tape, Tensor, Var};
+use ucad_nn::{AttentionScratch, GradLog, ParamId, ParamStore, Rows, RowsMut, Tape, Tensor, Var};
 
 /// One attention block: `m` heads, output projection, feed-forward,
 /// residual + layer norm + dropout regularization (Eq. 5).
@@ -85,6 +84,41 @@ pub struct TransDas {
     positional: Option<ParamId>,
     blocks: Vec<Block>,
     mask: Tensor,
+    /// The evaluation forward's weights derived from `store` (see
+    /// [`EvalPack`]).
+    pack: PackSlot,
+}
+
+/// Evaluation weights derived from the parameter store: per block the
+/// per-head projections packed side by side, per model the transposed
+/// embedding `M^T`. A pack is built under one [`ParamStore::generation`]
+/// and is read only while the store still carries that stamp, so no write
+/// to the parameters — an optimizer step, a `get_mut` edit, a checkpoint
+/// import, a whole store assigned from another model — can leave the
+/// forward on stale weights.
+struct EvalPack {
+    generation: u64,
+    /// Per block, `Wq = [wq_0 | … | wq_{m-1}]` (`h x h`).
+    wq: Vec<Tensor>,
+    /// Per block, `[wk_0 | … | wk_{m-1} | wv_0 | … | wv_{m-1}]` (`h x 2h`).
+    wkv: Vec<Tensor>,
+    /// `M^T` (`h x vocab`): the score product `O . M^T` as a plain matmul.
+    mt: Tensor,
+}
+
+/// The current [`EvalPack`], shared by the threads that score one model; a
+/// clone of the model starts with the same pack, which stays valid for the
+/// cloned store's equal generation. The slot's one update is a whole
+/// assignment, so a guard poisoned by a panic elsewhere still holds a valid
+/// pack (or none) and is recovered rather than propagated.
+#[derive(Default)]
+struct PackSlot(Mutex<Option<Arc<EvalPack>>>);
+
+impl Clone for PackSlot {
+    fn clone(&self) -> Self {
+        let pack = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        PackSlot(Mutex::new(pack.clone()))
+    }
 }
 
 impl TransDas {
@@ -150,7 +184,35 @@ impl TransDas {
             positional,
             blocks,
             mask,
+            pack: PackSlot::default(),
         }
+    }
+
+    /// The [`EvalPack`] of the store's current generation, rebuilt first if
+    /// the parameters changed since the last one was built.
+    fn eval_pack(&self) -> Arc<EvalPack> {
+        let generation = self.store.generation();
+        let mut slot = self.pack.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pack) = slot.as_ref().filter(|p| p.generation == generation) {
+            return Arc::clone(pack);
+        }
+        let store = &self.store;
+        let packed = |groups: &[&[ParamId]]| {
+            let parts: Vec<&Tensor> = groups.concat().iter().map(|&id| store.value(id)).collect();
+            Tensor::concat_cols(&parts)
+        };
+        let pack = Arc::new(EvalPack {
+            generation,
+            wq: self.blocks.iter().map(|b| packed(&[&b.wq])).collect(),
+            wkv: self
+                .blocks
+                .iter()
+                .map(|b| packed(&[&b.wk, &b.wv]))
+                .collect(),
+            mt: store.value(self.embedding).transpose(),
+        });
+        *slot = Some(Arc::clone(&pack));
+        pack
     }
 
     /// Embedding matrix handle.
@@ -293,8 +355,9 @@ impl TransDas {
     }
 
     /// Tape-free evaluation forward over `windows` (each one padded window):
-    /// one `finish(O)` per window, where `O` holds the `rows` of the window's
-    /// output that `rows` keeps (all `L`, or only the last row `O_L`).
+    /// one `finish(O, pack)` per window, where `O` holds the `rows` of the
+    /// window's output that `rows` keeps (all `L`, or only the last row
+    /// `O_L`) and `pack` is the call's [`EvalPack`].
     ///
     /// Windows run in [`EVAL_CHUNK`]-sized chunks: each chunk is one stacked
     /// [`TransDas::forward_stacked`] plus its `finish`, and more than one
@@ -311,7 +374,7 @@ impl TransDas {
         &self,
         windows: &[&[u32]],
         rows: ScoreRows,
-        finish: impl Fn(Tensor) -> Tensor + Sync,
+        finish: impl Fn(Tensor, &EvalPack) -> Tensor + Sync,
     ) -> Vec<Tensor> {
         if windows.is_empty() {
             return Vec::new();
@@ -321,9 +384,11 @@ impl TransDas {
         }
         let _forward_span = ucad_obs::span!("model.forward");
         forward_counter().add(windows.len() as u64);
+        let pack = self.eval_pack();
         let run_chunk = |chunk: &[&[u32]]| {
             ucad_pool::inline(|| {
-                Self::split_rows(finish(self.forward_stacked(chunk, rows)), chunk.len())
+                let out = finish(self.forward_stacked(&pack, chunk, rows), &pack);
+                Self::split_rows(out, chunk.len())
             })
         };
         if windows.len() <= EVAL_CHUNK {
@@ -343,42 +408,66 @@ impl TransDas {
             .collect()
     }
 
-    /// The stacked evaluation forward of one chunk of windows, window `w` in
-    /// rows `[w * r, (w + 1) * r)`, where `r` is the number of output rows
-    /// `rows` keeps per window.
+    /// The stacked evaluation forward of one chunk of windows: the output
+    /// rows `rows` keeps, stacked window by window (`L` rows per window for
+    /// [`ScoreRows::All`], the one row `O_L` for [`ScoreRows::Last`]).
     ///
-    /// Bit-identical per window to the tape forward in evaluation mode: all
+    /// Bit-identical per window to the tape forward in evaluation mode. All
     /// row-wise stages (embedding gather, projections, FFN, residuals, layer
-    /// norm via [`Tensor::layer_norm_forward`], bias via
-    /// [`Tensor::add_row_broadcast`]) are batched across windows, which
-    /// cannot change per-row f32 results, and attention runs per
-    /// (window, head) through [`Tensor::masked_attention`], itself
-    /// bit-identical to the tape's
+    /// norm via [`Tensor::layer_norm_in_place`], bias via
+    /// [`Tensor::add_row_in_place`]) are batched across windows, which
+    /// cannot change per-row f32 results. The projections multiply by the
+    /// head-packed `Wq` and `[Wk | Wv]` of `pack`: each product element is
+    /// its own k-ascending sum, so the packed product holds every head's
+    /// separate product bit for bit. Attention runs per (window, head)
+    /// through [`Tensor::masked_attention`], reading that head's columns of
+    /// the packed projections in place and writing its columns of the
+    /// concatenated output; it is bit-identical to the tape's
     /// `softmax_rows(matmul(q, transpose(k)) * scale + mask) * v`. Eval
-    /// dropout (`keep = 1.0`) is the identity and is skipped.
+    /// dropout (`keep = 1.0`) is the identity and is skipped. Products and
+    /// layer norms write into buffers reused across the chunk's blocks.
     ///
-    /// [`ScoreRows::Last`] narrows only the final block: every earlier block
-    /// feeds keys and values of all `L` rows to the next one, while the final
-    /// block's queries, attention rows, output projection, layer norms and
-    /// FFN only need the last row. Every one of those stages is row-wise, so
-    /// the retained row is the same f32 sequence as row `L - 1` of the
-    /// [`ScoreRows::All`] forward.
-    fn forward_stacked(&self, windows: &[&[u32]], rows: ScoreRows) -> Tensor {
-        let l = self.cfg.window;
-        let d = self.cfg.head_dim();
-        let b = windows.len();
+    /// [`ScoreRows::Last`] computes only what `O_L` reads:
+    /// - The final block's queries, attention row, output projection, layer
+    ///   norms and FFN run for the last row alone. Every one of those stages
+    ///   is row-wise, so the row is the same f32 sequence as row `L - 1` of
+    ///   the [`ScoreRows::All`] forward.
+    /// - A window's leading `k0` keys (its front padding) are dropped in
+    ///   every block: each window runs over its suffix from the first
+    ///   non-`k0` key (row `L - 1` is always kept). [`TransDas::eval_mask`]
+    ///   disconnects every `k0` column from every row but its own, its
+    ///   `NEG_INF` logit's `exp` underflows to exactly `0.0`, and the row's
+    ///   unmasked diagonal keeps the softmax max finite. So no kept row ever
+    ///   reads a dropped one: skipping them only removes exact zeros from
+    ///   the softmax sums and zero-weight terms the `A * v` product skips.
+    fn forward_stacked(&self, pack: &EvalPack, windows: &[&[u32]], rows: ScoreRows) -> Tensor {
+        let (l, h, d) = (self.cfg.window, self.cfg.hidden, self.cfg.head_dim());
         let store = &self.store;
-        let emb = store.value(self.embedding);
-        let idx: Vec<usize> = windows
+        // Window `w` keeps its positions `[first[w], L)`, stacked at rows
+        // `[start[w], start[w + 1])`.
+        let first: Vec<usize> = windows
             .iter()
-            .flat_map(|w| w.iter().map(|&k| k as usize))
+            .map(|w| match rows {
+                ScoreRows::All => 0,
+                ScoreRows::Last => w[..l - 1].iter().take_while(|&&k| k == 0).count(),
+            })
             .collect();
-        let mut x = emb.gather_rows(&idx);
-        if let Some(pos) = self.positional {
-            let p = store.value(pos);
-            for w in 0..b {
-                for i in 0..l {
-                    for (xc, pc) in x.row_mut(w * l + i).iter_mut().zip(p.row(i)) {
+        let start: Vec<usize> = std::iter::once(0)
+            .chain(first.iter().scan(0, |acc, &f| {
+                *acc += l - f;
+                Some(*acc)
+            }))
+            .collect();
+        let n = start[windows.len()];
+        let emb = store.value(self.embedding);
+        let positional = self.positional.map(|p| store.value(p));
+        let mut x = vec![0.0f32; n * h];
+        for (w, (win, &f)) in windows.iter().zip(&first).enumerate() {
+            let x_win = &mut x[start[w] * h..start[w + 1] * h];
+            for ((i, &key), x_row) in (f..l).zip(&win[f..]).zip(x_win.chunks_exact_mut(h)) {
+                x_row.copy_from_slice(emb.row(key as usize));
+                if let Some(p) = positional {
+                    for (xc, pc) in x_row.iter_mut().zip(p.row(i)) {
                         *xc += *pc;
                     }
                 }
@@ -386,83 +475,94 @@ impl TransDas {
         }
         let scale = 1.0 / (self.cfg.hidden as f32).sqrt();
         let masks: Vec<Tensor> = windows.iter().map(|w| self.eval_mask(w)).collect();
-        let mut scratch = AttentionScratch::new(l, d);
+        let mut scratch = AttentionScratch::default();
+        // Buffers reused across the blocks: the packed key/value
+        // projections, the final `Last` block's query rows, the query
+        // projection, the multi-head output, the layer-1 output and the two
+        // FFN products.
+        let mut kv = vec![0.0f32; n * 2 * h];
+        let (mut xq, mut q, mut mh, mut normed, mut f1, mut f2) =
+            (vec![], vec![], vec![], vec![], vec![], vec![]);
         let last = self.blocks.len() - 1;
         for (bi, block) in self.blocks.iter().enumerate() {
-            // This block's query rows are `[q0, L)` of every window, `r` per
-            // window; keys and values always span all `L` rows.
-            let q0 = match rows {
-                ScoreRows::Last if bi == last => l - 1,
-                _ => 0,
-            };
-            let r = l - q0;
-            let xq = if q0 == 0 {
-                Cow::Borrowed(&x)
-            } else {
-                let idx: Vec<usize> = (0..b).flat_map(|w| w * l + q0..(w + 1) * l).collect();
-                Cow::Owned(x.gather_rows(&idx))
-            };
+            // This block's query rows: every kept row, or in the final block
+            // of a `Last` forward only each window's last row. Keys and
+            // values always span every kept row.
+            let narrow = rows == ScoreRows::Last && bi == last;
+            if narrow {
+                xq.clear();
+                for w in 0..windows.len() {
+                    xq.extend_from_slice(&x[(start[w + 1] - 1) * h..start[w + 1] * h]);
+                }
+            }
+            let xq: &[f32] = if narrow { &xq } else { &x };
+            let nq = xq.len() / h;
             let attention_span = ucad_obs::span!("model.attention");
-            let mut heads = Vec::with_capacity(self.cfg.heads);
-            for h in 0..self.cfg.heads {
-                // Projections are row-wise: batching them across windows (or
-                // projecting only the query rows) is exactly the per-window
-                // computation.
-                let q_all = xq.matmul(store.value(block.wq[h]));
-                let k_all = x.matmul(store.value(block.wk[h]));
-                let v_all = x.matmul(store.value(block.wv[h]));
-                let mut head_out = Tensor::zeros(b * r, d);
-                let out = head_out.data_mut();
-                // Attention mixes rows, so it runs block-diagonally: each
-                // window only attends within its own L rows, read in place
-                // from the batched projections.
-                for (w, mask) in masks.iter().enumerate() {
-                    let (qs, kvs) = (w * r * d..(w + 1) * r * d, w * l * d..(w + 1) * l * d);
+            Tensor::matmul_into(&x, &pack.wkv[bi], &mut kv);
+            q.resize(nq * h, 0.0);
+            Tensor::matmul_into(xq, &pack.wq[bi], &mut q);
+            mh.resize(nq * h, 0.0);
+            // Attention mixes rows, so it runs block-diagonally: each window
+            // only attends within its own kept rows.
+            for (w, (mask, &f)) in masks.iter().zip(&first).enumerate() {
+                let keys = start[w + 1] - start[w];
+                let (q_row, r) = if narrow { (w, 1) } else { (start[w], keys) };
+                let mask = Rows::new(&mask.data()[(l - r) * l + f..], r, keys, l);
+                let kv_w = &kv[start[w] * 2 * h..];
+                for c in (0..h).step_by(d) {
                     Tensor::masked_attention(
-                        &q_all.data()[qs.clone()],
-                        &k_all.data()[kvs.clone()],
-                        &v_all.data()[kvs],
-                        &mask.data()[q0 * l..],
+                        Rows::new(&q[q_row * h + c..], r, d, h),
+                        Rows::new(&kv_w[c..], keys, d, 2 * h),
+                        Rows::new(&kv_w[h + c..], keys, d, 2 * h),
+                        mask,
                         scale,
-                        &mut out[qs],
+                        RowsMut::new(&mut mh[q_row * h + c..], r, d, h),
                         &mut scratch,
                     );
                 }
-                heads.push(head_out);
             }
-            let head_refs: Vec<&Tensor> = heads.iter().collect();
-            let mh = Tensor::concat_cols(&head_refs);
-            let projected = mh.matmul(store.value(block.wo));
-            let res = xq.add(&projected);
-            let (normed, _, _) = res.layer_norm_forward(
+            // The residual `x + projected` (f32 addition commutes, so adding
+            // in place gives the same bits).
+            normed.resize(nq * h, 0.0);
+            Tensor::matmul_into(&mh, store.value(block.wo), &mut normed);
+            for (o, &xv) in normed.iter_mut().zip(xq) {
+                *o += xv;
+            }
+            Tensor::layer_norm_in_place(
+                &mut normed,
                 store.value(block.ln1.gain),
                 store.value(block.ln1.bias),
                 block.ln1.eps,
             );
             drop(attention_span);
             let _ffn_span = ucad_obs::span!("model.ffn");
-            let f1 = normed
-                .matmul(store.value(block.ffn1.w))
-                .add_row_broadcast(store.value(block.ffn1.b));
-            let act = f1.map(|v| v.max(0.0));
-            let f2 = act
-                .matmul(store.value(block.ffn2.w))
-                .add_row_broadcast(store.value(block.ffn2.b));
-            let res2 = normed.add(&f2);
-            let (ln2_out, _, _) = res2.layer_norm_forward(
+            f1.resize(nq * h, 0.0);
+            Tensor::matmul_into(&normed, store.value(block.ffn1.w), &mut f1);
+            Tensor::add_row_in_place(&mut f1, store.value(block.ffn1.b));
+            for v in f1.iter_mut() {
+                *v = v.max(0.0);
+            }
+            f2.resize(nq * h, 0.0);
+            Tensor::matmul_into(&f1, store.value(block.ffn2.w), &mut f2);
+            Tensor::add_row_in_place(&mut f2, store.value(block.ffn2.b));
+            for (o, &nv) in f2.iter_mut().zip(&normed) {
+                *o += nv;
+            }
+            Tensor::layer_norm_in_place(
+                &mut f2,
                 store.value(block.ln2.gain),
                 store.value(block.ln2.bias),
                 block.ln2.eps,
             );
-            x = ln2_out;
+            std::mem::swap(&mut x, &mut f2);
         }
-        x
+        Tensor::from_vec(x.len() / h, h, x)
     }
 
     /// Evaluation-mode output `O^(B)` for a padded window.
     pub fn output(&self, inputs: &[u32]) -> Tensor {
         let padded = self.pad_window(inputs);
-        self.eval_windows(&[&padded], ScoreRows::All, |o| o)
+        self.eval_windows(&[&padded], ScoreRows::All, |o, _| o)
             .pop()
             .expect("one window in, one output out")
     }
@@ -485,7 +585,7 @@ impl TransDas {
     pub fn forward_batch(&self, windows: &[&[u32]]) -> Vec<Tensor> {
         let padded: Vec<Vec<u32>> = windows.iter().map(|w| self.pad_window(w)).collect();
         let refs: Vec<&[u32]> = padded.iter().map(Vec::as_slice).collect();
-        self.eval_windows(&refs, ScoreRows::All, |o| o)
+        self.eval_windows(&refs, ScoreRows::All, |o, _| o)
     }
 
     /// Batched [`TransDas::position_scores`]: one `L x vocab` score matrix
@@ -494,8 +594,7 @@ impl TransDas {
     pub fn position_scores_batch(&self, windows: &[&[u32]]) -> Vec<Tensor> {
         let padded: Vec<Vec<u32>> = windows.iter().map(|w| self.pad_window(w)).collect();
         let refs: Vec<&[u32]> = padded.iter().map(Vec::as_slice).collect();
-        let m = self.store.value(self.embedding);
-        self.eval_windows(&refs, ScoreRows::All, |o| o.matmul_bt(m))
+        self.eval_windows(&refs, ScoreRows::All, |o, pack| o.matmul(&pack.mt))
     }
 
     /// Evaluation forward that also returns the first block's head-averaged
@@ -527,8 +626,7 @@ impl TransDas {
 
     /// The `rows` of one padded window's score matrix: `O . M^T`.
     fn padded_scores(&self, padded: &[u32], rows: ScoreRows) -> Tensor {
-        let m = self.store.value(self.embedding);
-        self.eval_windows(&[padded], rows, |o| o.matmul_bt(m))
+        self.eval_windows(&[padded], rows, |o, pack| o.matmul(&pack.mt))
             .pop()
             .expect("one window in, one score matrix out")
     }

@@ -43,4 +43,4 @@ pub mod tensor;
 
 pub use params::{GradLog, ImportError, Param, ParamId, ParamStore};
 pub use tape::{Tape, Var};
-pub use tensor::{AttentionScratch, Tensor};
+pub use tensor::{AttentionScratch, Rows, RowsMut, Tensor};

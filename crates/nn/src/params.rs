@@ -7,6 +7,7 @@
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,10 +24,32 @@ pub struct Param {
     pub grad: Tensor,
 }
 
+/// A process-wide unique [`ParamStore::generation`] stamp. `Relaxed` is
+/// enough: the read-modify-write alone makes every stamp unique, and the
+/// stamp publishes no other data (a store's values reach other threads
+/// through whatever hands them the store).
+fn fresh_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Container owning every trainable parameter of a model.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParamStore {
     params: Vec<Param>,
+    /// Stamp of the current parameter values: every `&mut` path to a value
+    /// takes a new process-wide unique stamp, and a clone keeps its
+    /// source's stamp together with its values.
+    generation: u64,
+}
+
+impl Default for ParamStore {
+    fn default() -> Self {
+        ParamStore {
+            params: Vec::new(),
+            generation: fresh_generation(),
+        }
+    }
 }
 
 impl ParamStore {
@@ -35,8 +58,19 @@ impl ParamStore {
         Self::default()
     }
 
+    /// Version stamp of the parameter values. Two stores with equal stamps
+    /// hold equal values: [`ParamStore::add`], [`ParamStore::get_mut`],
+    /// [`ParamStore::iter_mut`] and [`ParamStore::import_values`] each move
+    /// the stamp to a value no store has held, and only a clone shares one.
+    /// Values derived from the parameters (packed evaluation weights, say)
+    /// stay valid for as long as the stamp they were built under.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Registers a new parameter and returns its handle.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
+        self.generation = fresh_generation();
         let grad = Tensor::zeros(value.rows(), value.cols());
         self.params.push(Param {
             name: name.into(),
@@ -51,8 +85,10 @@ impl ParamStore {
         &self.params[id.0]
     }
 
-    /// Mutable access to a parameter.
+    /// Mutable access to a parameter (moves the
+    /// [`ParamStore::generation`] stamp).
     pub fn get_mut(&mut self, id: ParamId) -> &mut Param {
+        self.generation = fresh_generation();
         &mut self.params[id.0]
     }
 
@@ -88,8 +124,10 @@ impl ParamStore {
         self.params.iter().enumerate().map(|(i, p)| (ParamId(i), p))
     }
 
-    /// Iterates mutably over all parameters.
+    /// Iterates mutably over all parameters (moves the
+    /// [`ParamStore::generation`] stamp).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Param> {
+        self.generation = fresh_generation();
         self.params.iter_mut()
     }
 
@@ -120,7 +158,7 @@ impl ParamStore {
                 });
             }
         }
-        for (p, v) in self.params.iter_mut().zip(values) {
+        for (p, v) in self.iter_mut().zip(values) {
             p.value = v;
         }
         Ok(())
@@ -337,6 +375,40 @@ mod tests {
         ));
         // A rejected import must leave the store untouched.
         assert_eq!(store.export_values(), before);
+    }
+
+    #[test]
+    fn every_value_write_path_moves_the_generation() {
+        let mut store = ParamStore::new();
+        let id = store.add("w", Tensor::full(2, 2, 1.0));
+        let mut seen = vec![store.generation()];
+        let mut moved = |store: &ParamStore, path: &str| {
+            assert!(
+                !seen.contains(&store.generation()),
+                "{path} reused a generation"
+            );
+            seen.push(store.generation());
+        };
+        store.get_mut(id).value.data_mut()[0] = 2.0;
+        moved(&store, "get_mut");
+        store.iter_mut().for_each(|p| p.value.data_mut()[1] = 3.0);
+        moved(&store, "iter_mut");
+        store.import_values(store.export_values()).unwrap();
+        moved(&store, "import_values");
+        store.add("b", Tensor::zeros(1, 1));
+        moved(&store, "add");
+        // Reads and gradient-only writes keep it; a clone shares it, and a
+        // fresh store never does.
+        let g = store.generation();
+        store.zero_grad();
+        let _ = (store.value(id), store.export_values());
+        let copy = store.clone();
+        assert_eq!((store.generation(), copy.generation()), (g, g));
+        assert_ne!(ParamStore::new().generation(), g);
+        let mut log = GradLog::new();
+        log.push(id, Tensor::full(2, 2, 1.0));
+        log.apply(&mut store);
+        assert_eq!(store.generation(), g);
     }
 
     #[test]

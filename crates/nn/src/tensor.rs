@@ -54,11 +54,15 @@ fn run_rows(rows: usize, flops: usize, body: impl Fn(usize, usize) + Sync) {
 /// or 8).
 const NARROW: usize = 8;
 
-/// The i-k-j kernel behind every matrix product: the `rows x rhs.cols`
-/// tensor `out[i][j] = Σ_k a(i, k) * rhs[k][j]` over the rows `k` of `rhs`.
-/// Every output element starts at `0.0` and adds its terms k-ascending,
-/// skipping `a(i, k) == 0.0` (which makes padding and `k0` embeddings
-/// free); output rows are partitioned over the pool by [`run_rows`].
+/// The i-k-j kernel behind every matrix product: writes the row-major
+/// `rows x rhs.cols` product `out[i][j] = Σ_k a(i, k) * rhs[k][j]` over the
+/// rows `k` of `rhs` into `out`, overwriting what it held. Every output
+/// element starts at `0.0` and adds its terms k-ascending, skipping
+/// `a(i, k) == 0.0` (which makes padding and `k0` embeddings free); output
+/// rows are partitioned over the pool by [`run_rows`]. Because each element
+/// is its own sum, a column of the product depends only on the same column
+/// of `rhs`: multiplying by column-concatenated weights gives, bit for bit,
+/// the concatenation of the separate products.
 ///
 /// The innermost loop runs across an output row. A row of at most
 /// [`NARROW`] columns (attention heads are `h / m` wide) is accumulated in
@@ -66,11 +70,16 @@ const NARROW: usize = 8;
 /// is one full-width vector multiply-add instead of a short loop that
 /// re-reads and re-writes the output row. The padding lanes are discarded,
 /// so the kept lanes are the same f32 sums.
-fn product(rows: usize, rhs: &Tensor, a: impl Fn(usize, usize) -> f32 + Sync) -> Tensor {
+fn product_into(
+    rows: usize,
+    rhs: &Tensor,
+    a: impl Fn(usize, usize) -> f32 + Sync,
+    out: &mut [f32],
+) {
     let (inner, n) = rhs.shape();
-    let mut out = Tensor::zeros(rows, n);
+    assert_eq!(out.len(), rows * n, "product output length mismatch");
     if n == 0 {
-        return out;
+        return;
     }
     let padded: Vec<f32> = if n <= NARROW {
         let mut padded = vec![0.0; inner * NARROW];
@@ -84,7 +93,7 @@ fn product(rows: usize, rhs: &Tensor, a: impl Fn(usize, usize) -> f32 + Sync) ->
     } else {
         Vec::new()
     };
-    let out_ptr = SendPtr(out.data.as_mut_ptr());
+    let out_ptr = SendPtr(out.as_mut_ptr());
     run_rows(rows, rows * inner * n, |r0, r1| {
         // SAFETY: chunks cover disjoint row ranges of `out` (see SendPtr).
         let out_rows =
@@ -104,6 +113,7 @@ fn product(rows: usize, rhs: &Tensor, a: impl Fn(usize, usize) -> f32 + Sync) ->
                 out_row.copy_from_slice(&acc[..n]);
                 continue;
             }
+            out_row.fill(0.0);
             for (k, b_row) in rhs.data.chunks_exact(n).enumerate() {
                 let av = a(i, k);
                 if av == 0.0 {
@@ -115,34 +125,118 @@ fn product(rows: usize, rhs: &Tensor, a: impl Fn(usize, usize) -> f32 + Sync) ->
             }
         }
     });
+}
+
+/// [`product_into`] into a fresh `rows x rhs.cols` tensor.
+fn product(rows: usize, rhs: &Tensor, a: impl Fn(usize, usize) -> f32 + Sync) -> Tensor {
+    let mut out = Tensor::zeros(rows, rhs.cols);
+    product_into(rows, rhs, a, &mut out.data);
     out
 }
 
-/// Reusable scratch for [`Tensor::masked_attention`] over windows of `len`
-/// keys and heads of `dim` columns: the `dim x len` transposed keys and one
-/// `len`-length score row. Build one per thread and reuse it across
-/// windows and heads.
+/// `rows` rows of `cols` values read in place from a row-major buffer: row
+/// `i` is `data[i * stride..i * stride + cols]`. With `stride > cols` a
+/// view picks a column block out of a wider matrix, such as one head's
+/// columns of packed projections.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// A view of `rows x cols` values with row stride `stride`.
+    ///
+    /// # Panics
+    /// Panics if `cols > stride` or `data` ends before the last row does.
+    pub fn new(data: &'a [f32], rows: usize, cols: usize, stride: usize) -> Self {
+        assert!(
+            cols <= stride && (rows == 0 || (rows - 1) * stride + cols <= data.len()),
+            "rows view out of range: {rows}x{cols} with stride {stride} over {} values",
+            data.len()
+        );
+        Rows {
+            data,
+            rows,
+            cols,
+            stride,
+        }
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f32] {
+        &self.data[i * self.stride..i * self.stride + self.cols]
+    }
+}
+
+/// The mutable counterpart of [`Rows`]: a writable column block of a
+/// row-major buffer.
+#[derive(Debug)]
+pub struct RowsMut<'a> {
+    data: &'a mut [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> RowsMut<'a> {
+    /// A writable view of `rows x cols` values with row stride `stride`.
+    ///
+    /// # Panics
+    /// Panics if `cols > stride` or `data` ends before the last row does.
+    pub fn new(data: &'a mut [f32], rows: usize, cols: usize, stride: usize) -> Self {
+        Rows::new(data, rows, cols, stride);
+        RowsMut {
+            data,
+            rows,
+            cols,
+            stride,
+        }
+    }
+
+    /// Row `i`, writable.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
+        &mut self.data[i * self.stride..i * self.stride + self.cols]
+    }
+}
+
+/// Reusable scratch for [`Tensor::masked_attention`]: the `d x n`
+/// transposed keys and one `n`-length score row, grown to the largest
+/// window seen. Build one per thread and reuse it across windows and
+/// heads.
+#[derive(Debug, Default)]
 pub struct AttentionScratch {
-    len: usize,
-    dim: usize,
     kt: Vec<f32>,
     row: Vec<f32>,
 }
 
-impl AttentionScratch {
-    /// Scratch for `len`-key windows and `dim`-column heads.
-    ///
-    /// # Panics
-    /// Panics if `dim` is zero.
-    pub fn new(len: usize, dim: usize) -> Self {
-        assert!(dim > 0, "attention head dimension must be positive");
-        AttentionScratch {
-            len,
-            dim,
-            kt: vec![0.0; dim * len],
-            row: vec![0.0; len],
+/// The one layer-norm formula (Eq. 6), over one row in place:
+/// `row = gain * (row - mu) / sqrt(var + eps) + bias`, also writing the
+/// normalised input to `xhat` when given. Returns `1 / sqrt(var + eps)`.
+#[allow(clippy::needless_range_loop)] // parallel-buffer numeric kernel
+fn layer_norm_row(
+    row: &mut [f32],
+    gain: &Tensor,
+    bias: &Tensor,
+    eps: f32,
+    mut xhat: Option<&mut [f32]>,
+) -> f32 {
+    let cols = row.len();
+    let mu: f32 = row.iter().sum::<f32>() / cols as f32;
+    let var: f32 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / cols as f32;
+    let is = 1.0 / (var + eps).sqrt();
+    for c in 0..cols {
+        let xh = (row[c] - mu) * is;
+        if let Some(xhat) = xhat.as_deref_mut() {
+            xhat[c] = xh;
         }
+        row[c] = gain.data[c] * xh + bias.data[c];
     }
+    is
 }
 
 /// A dense row-major matrix of `f32`.
@@ -316,6 +410,28 @@ impl Tensor {
         product(self.rows, rhs, |i, k| self.data[i * cols + k])
     }
 
+    /// [`Tensor::matmul`] of the row-major `lhs` (`rows x rhs.rows()`),
+    /// written over `out` (`rows x rhs.cols()`) instead of a fresh tensor:
+    /// the same f32 sums, for callers that reuse one buffer across
+    /// products.
+    ///
+    /// # Panics
+    /// Panics if `rhs` has no rows or a length does not fit the shapes.
+    pub fn matmul_into(lhs: &[f32], rhs: &Tensor, out: &mut [f32]) {
+        let inner = rhs.rows;
+        assert!(
+            inner > 0
+                && lhs.len().is_multiple_of(inner)
+                && out.len() == lhs.len() / inner * rhs.cols,
+            "matmul_into shape mismatch: {} values * {}x{} into {}",
+            lhs.len(),
+            rhs.rows,
+            rhs.cols,
+            out.len()
+        );
+        product_into(lhs.len() / inner, rhs, |i, k| lhs[i * inner + k], out);
+    }
+
     /// Product `self * rhs^T`: `out[i][j] = Σ_k self[i,k] * rhs[j,k]`.
     ///
     /// Transposes `rhs` once, then runs [`Tensor::matmul`]'s i-k-j loop over
@@ -337,12 +453,15 @@ impl Tensor {
     }
 
     /// Fused masked attention for one window and one head:
-    /// `out = softmax_rows(q * k^T * scale + mask) * v`, reading the rows in
-    /// place (they may sit inside larger batched projections) and writing
-    /// `r x d` rows to `out`. `q` and `out` hold `r` rows of `d` columns, `k`
-    /// and `v` the window's `L` rows, `mask` the `r x L` additive mask rows
-    /// matching `q` (`L` and `d` come from `scratch`). `r < L` computes only
-    /// the trailing query rows of the full attention.
+    /// `out = softmax_rows(q * k^T * scale + mask) * v`, reading every
+    /// operand in place through [`Rows`] views (one head's columns of
+    /// batched, head-packed projections) and writing each output row into
+    /// `out`, which may be that head's column block of the concatenated
+    /// multi-head output. `q`, `mask` and `out` hold the same `r` query
+    /// rows; `k` and `v` hold the window's `n` keys; `q`, `k`, `v` and `out`
+    /// are `d` columns wide and `mask` `n`. Query rows are independent, so
+    /// any subset of a window's rows (only the last one, say) computes
+    /// exactly those rows of the full attention.
     ///
     /// Bit-identical per row to the composed reference
     /// `q.matmul_bt(k).scale(scale).add(mask).softmax_rows().matmul(v)`:
@@ -351,49 +470,52 @@ impl Tensor {
     /// every score the same k-ascending additions and `q[i,k] == 0.0` skip
     /// as [`Tensor::matmul_bt`]; scale, mask and the max → exp → sum →
     /// divide softmax of [`Tensor::softmax_rows`] then run in one reused
-    /// `L`-length row, and `A * v` accumulates exactly as `matmul` does.
+    /// `n`-length row, and `A * v` accumulates exactly as `matmul` does.
     /// Always runs inline on the calling thread.
     ///
     /// # Panics
-    /// Panics if a slice length does not match the shapes above.
+    /// Panics if the views' shapes do not match as above.
     pub fn masked_attention(
-        q: &[f32],
-        k: &[f32],
-        v: &[f32],
-        mask: &[f32],
+        q: Rows<'_>,
+        k: Rows<'_>,
+        v: Rows<'_>,
+        mask: Rows<'_>,
         scale: f32,
-        out: &mut [f32],
+        mut out: RowsMut<'_>,
         scratch: &mut AttentionScratch,
     ) {
-        let (l, d) = (scratch.len, scratch.dim);
-        let r = q.len() / d;
+        let (r, n, d) = (q.rows, k.rows, q.cols);
         assert!(
-            q.len() == r * d
-                && k.len() == l * d
-                && v.len() == l * d
-                && mask.len() == r * l
-                && out.len() == r * d,
-            "masked_attention shape mismatch: q {}, k {}, v {}, mask {}, out {} for L={l}, d={d}",
-            q.len(),
-            k.len(),
-            v.len(),
-            mask.len(),
-            out.len()
+            n > 0
+                && d > 0
+                && k.cols == d
+                && (v.rows, v.cols) == (n, d)
+                && (mask.rows, mask.cols) == (r, n)
+                && (out.rows, out.cols) == (r, d),
+            "masked_attention shape mismatch: q {}x{}, k {}x{}, v {}x{}, mask {}x{}, out {}x{}",
+            q.rows,
+            q.cols,
+            k.rows,
+            k.cols,
+            v.rows,
+            v.cols,
+            mask.rows,
+            mask.cols,
+            out.rows,
+            out.cols
         );
-        let kt = &mut scratch.kt;
-        for (j, k_row) in k.chunks_exact(d).enumerate() {
-            for (c, &kv) in k_row.iter().enumerate() {
-                kt[c * l + j] = kv;
+        scratch.kt.resize(d * n, 0.0);
+        scratch.row.resize(n, 0.0);
+        let kt = &mut scratch.kt[..d * n];
+        for j in 0..n {
+            for (c, &kv) in k.row(j).iter().enumerate() {
+                kt[c * n + j] = kv;
             }
         }
-        let s = &mut scratch.row;
-        for ((q_row, m_row), o_row) in q
-            .chunks_exact(d)
-            .zip(mask.chunks_exact(l))
-            .zip(out.chunks_exact_mut(d))
-        {
+        let s = &mut scratch.row[..n];
+        for i in 0..r {
             s.fill(0.0);
-            for (&a, kt_row) in q_row.iter().zip(kt.chunks_exact(l)) {
+            for (&a, kt_row) in q.row(i).iter().zip(kt.chunks_exact(n)) {
                 if a == 0.0 {
                     continue;
                 }
@@ -401,7 +523,7 @@ impl Tensor {
                     *sj += a * b;
                 }
             }
-            for (sj, &m) in s.iter_mut().zip(m_row) {
+            for (sj, &m) in s.iter_mut().zip(mask.row(i)) {
                 *sj = *sj * scale + m;
             }
             let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -415,12 +537,13 @@ impl Tensor {
                     *sj /= sum;
                 }
             }
+            let o_row = out.row_mut(i);
             o_row.fill(0.0);
-            for (&a, v_row) in s.iter().zip(v.chunks_exact(d)) {
+            for (j, &a) in s.iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                for (o, &b) in o_row.iter_mut().zip(v_row) {
+                for (o, &b) in o_row.iter_mut().zip(v.row(j)) {
                     *o += a * b;
                 }
             }
@@ -612,19 +735,33 @@ impl Tensor {
 
     /// Row-broadcast sum: `out[r] = self[r] + row` with `row` a `1 x c`
     /// vector. Shared by the tape `AddRow` op and the tape-free evaluation
-    /// path so the two cannot drift numerically.
+    /// path (through [`Tensor::add_row_in_place`]) so the two cannot drift
+    /// numerically.
     ///
     /// # Panics
     /// Panics unless `row` is `1 x self.cols()`.
     pub fn add_row_broadcast(&self, row: &Tensor) -> Tensor {
         assert_eq!(row.shape(), (1, self.cols), "add_row shape mismatch");
         let mut out = self.clone();
-        for r in 0..self.rows {
-            for (o, b) in out.row_mut(r).iter_mut().zip(row.data.iter()) {
+        Self::add_row_in_place(&mut out.data, row);
+        out
+    }
+
+    /// [`Tensor::add_row_broadcast`] over the row-major rows of `x`, in
+    /// place: adds the `1 x c` vector `row` to every `c`-wide row.
+    ///
+    /// # Panics
+    /// Panics unless `row` is one row whose width divides `x.len()`.
+    pub fn add_row_in_place(x: &mut [f32], row: &Tensor) {
+        assert!(
+            row.rows == 1 && row.cols > 0 && x.len().is_multiple_of(row.cols),
+            "add_row shape mismatch"
+        );
+        for x_row in x.chunks_exact_mut(row.cols) {
+            for (o, b) in x_row.iter_mut().zip(row.data.iter()) {
                 *o += *b;
             }
         }
-        out
     }
 
     /// Row-wise layer normalization forward (Eq. 6 of the UCAD paper):
@@ -632,11 +769,11 @@ impl Tensor {
     /// `(out, xhat, inv_std)` where `xhat` is the normalized input and
     /// `inv_std[r] = 1 / sqrt(var_r + eps)` — the quantities the backward
     /// pass needs. Shared by the tape `LayerNorm` op and the tape-free
-    /// evaluation path so the two cannot drift numerically.
+    /// evaluation path (through [`Tensor::layer_norm_in_place`]) so the two
+    /// cannot drift numerically.
     ///
     /// # Panics
     /// Panics unless `gain` and `bias` are `1 x self.cols()`.
-    #[allow(clippy::needless_range_loop)] // parallel-buffer numeric kernel
     pub fn layer_norm_forward(
         &self,
         gain: &Tensor,
@@ -647,21 +784,30 @@ impl Tensor {
         assert_eq!(gain.shape(), (1, cols), "layer_norm gain shape");
         assert_eq!(bias.shape(), (1, cols), "layer_norm bias shape");
         let mut xhat = Tensor::zeros(rows, cols);
-        let mut inv_std = Vec::with_capacity(rows);
-        let mut out = Tensor::zeros(rows, cols);
-        for r in 0..rows {
-            let row = self.row(r);
-            let mu: f32 = row.iter().sum::<f32>() / cols as f32;
-            let var: f32 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f32>() / cols as f32;
-            let is = 1.0 / (var + eps).sqrt();
-            inv_std.push(is);
-            for c in 0..cols {
-                let xh = (row[c] - mu) * is;
-                xhat.set(r, c, xh);
-                out.set(r, c, gain.get(0, c) * xh + bias.get(0, c));
-            }
-        }
+        let mut out = self.clone();
+        let inv_std = (0..rows)
+            .map(|r| layer_norm_row(out.row_mut(r), gain, bias, eps, Some(xhat.row_mut(r))))
+            .collect();
         (out, xhat, inv_std)
+    }
+
+    /// [`Tensor::layer_norm_forward`]'s output over the row-major rows of
+    /// `x`, normalised in place (no `xhat` or `inv_std`): the evaluation
+    /// forward's layer norm.
+    ///
+    /// # Panics
+    /// Panics unless `gain` and `bias` are one row whose width divides
+    /// `x.len()`.
+    pub fn layer_norm_in_place(x: &mut [f32], gain: &Tensor, bias: &Tensor, eps: f32) {
+        let cols = gain.cols;
+        assert!(
+            gain.rows == 1 && cols > 0 && x.len().is_multiple_of(cols),
+            "layer_norm gain shape"
+        );
+        assert_eq!(bias.shape(), (1, cols), "layer_norm bias shape");
+        for row in x.chunks_exact_mut(cols) {
+            layer_norm_row(row, gain, bias, eps, None);
+        }
     }
 
     /// Largest absolute element (0.0 for empty tensors).
@@ -812,7 +958,7 @@ mod tests {
             let q_all = sparse_random(&mut rng, windows * l, d);
             let k_all = sparse_random(&mut rng, windows * l, d);
             let v_all = sparse_random(&mut rng, windows * l, d);
-            let mut scratch = AttentionScratch::new(l, d);
+            let mut scratch = AttentionScratch::default();
             for w in 0..windows {
                 let rows = |t: &Tensor| t.data()[w * l * d..(w + 1) * l * d].to_vec();
                 let (q, k, v) = (rows(&q_all), rows(&k_all), rows(&v_all));
@@ -836,14 +982,15 @@ mod tests {
                     .softmax_rows()
                     .matmul(&Tensor::from_vec(l, d, v.clone()));
                 for q0 in [0, l - 1] {
-                    let mut out = vec![f32::NAN; (l - q0) * d];
+                    let r = l - q0;
+                    let mut out = vec![f32::NAN; r * d];
                     Tensor::masked_attention(
-                        &q_all.data()[(w * l + q0) * d..(w + 1) * l * d],
-                        &k,
-                        &v,
-                        &mask.data()[q0 * l..],
+                        Rows::new(&q_all.data()[(w * l + q0) * d..], r, d, d),
+                        Rows::new(&k, l, d, d),
+                        Rows::new(&v, l, d, d),
+                        Rows::new(&mask.data()[q0 * l..], r, l, l),
                         scale,
-                        &mut out,
+                        RowsMut::new(&mut out, r, d, d),
                         &mut scratch,
                     );
                     let want: Vec<u32> = reference.data()[q0 * d..]
@@ -858,17 +1005,91 @@ mod tests {
     }
 
     #[test]
+    fn masked_attention_reads_and_writes_column_blocks_in_place() {
+        use rand::{Rng, SeedableRng};
+        // Packed projections: `heads` heads of `d` columns side by side,
+        // keys and values in one `2 * heads * d`-wide buffer; every head
+        // writes its own columns of one shared output.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for case in 0..50 {
+            let (l, d, heads) = (
+                rng.gen_range(1..=10),
+                rng.gen_range(1..=9),
+                rng.gen_range(1..=4),
+            );
+            let h = heads * d;
+            let q = sparse_random(&mut rng, l, h);
+            let kv = sparse_random(&mut rng, l, 2 * h);
+            let mask = sparse_random(&mut rng, l, l);
+            let mut out = vec![f32::NAN; l * h];
+            let mut scratch = AttentionScratch::default();
+            for head in 0..heads {
+                let c = head * d;
+                Tensor::masked_attention(
+                    Rows::new(&q.data()[c..], l, d, h),
+                    Rows::new(&kv.data()[c..], l, d, 2 * h),
+                    Rows::new(&kv.data()[h + c..], l, d, 2 * h),
+                    Rows::new(mask.data(), l, l, l),
+                    0.5,
+                    RowsMut::new(&mut out[c..], l, d, h),
+                    &mut scratch,
+                );
+            }
+            for head in 0..heads {
+                let c = head * d;
+                let (qh, kh, vh) = (
+                    q.slice_cols(c, c + d),
+                    kv.slice_cols(c, c + d),
+                    kv.slice_cols(h + c, h + c + d),
+                );
+                let mut want = vec![0.0; l * d];
+                Tensor::masked_attention(
+                    Rows::new(qh.data(), l, d, d),
+                    Rows::new(kh.data(), l, d, d),
+                    Rows::new(vh.data(), l, d, d),
+                    Rows::new(mask.data(), l, l, l),
+                    0.5,
+                    RowsMut::new(&mut want, l, d, d),
+                    &mut scratch,
+                );
+                let got = Tensor::from_vec(l, h, out.clone()).slice_cols(c, c + d);
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.data()), bits(&want), "case {case} head {head}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_products_are_the_concatenated_products() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for (rows, inner, a_cols, b_cols) in [(7, 16, 8, 8), (3, 5, 2, 9), (4, 16, 16, 16)] {
+            let x = sparse_random(&mut rng, rows, inner);
+            let (a, b) = (
+                sparse_random(&mut rng, inner, a_cols),
+                sparse_random(&mut rng, inner, b_cols),
+            );
+            let packed = Tensor::concat_cols(&[&a, &b]);
+            let mut out = vec![f32::NAN; rows * (a_cols + b_cols)];
+            Tensor::matmul_into(x.data(), &packed, &mut out);
+            let want = Tensor::concat_cols(&[&x.matmul(&a), &x.matmul(&b)]);
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(want.data()));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "masked_attention shape mismatch")]
     fn masked_attention_rejects_bad_shapes() {
-        let mut scratch = AttentionScratch::new(3, 2);
+        let mut scratch = AttentionScratch::default();
         let mut out = vec![0.0; 6];
         Tensor::masked_attention(
-            &[0.0; 6],
-            &[0.0; 6],
-            &[0.0; 4],
-            &[0.0; 9],
+            Rows::new(&[0.0; 6], 3, 2, 2),
+            Rows::new(&[0.0; 6], 3, 2, 2),
+            Rows::new(&[0.0; 4], 2, 2, 2),
+            Rows::new(&[0.0; 9], 3, 3, 3),
             1.0,
-            &mut out,
+            RowsMut::new(&mut out, 3, 2, 2),
             &mut scratch,
         );
     }

@@ -124,9 +124,9 @@ impl TenantShardPool {
     }
 
     /// [`TenantShardPool::new`] with a pool-global [`ServeObserver`]
-    /// (receives every tenant's hooks — the SLO harness keys completion
-    /// off its `on_scored`) and an explicit bound on distinct `tenant`
-    /// metric-label values.
+    /// (receives every tenant's hooks — perfbench's open loop keys
+    /// completion off its `on_scored`) and an explicit bound on distinct
+    /// `tenant` metric-label values.
     pub fn new_observed(
         registry: TenantRegistry,
         cfg: ServeConfig,

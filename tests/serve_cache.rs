@@ -5,7 +5,8 @@
 //! a result. Streaming scoring computes only the last output row, so this
 //! wall also pins that row bit-for-bit to the full score matrix, and checks
 //! that one cache shared by both modes never hands a reader the other
-//! mode's entry shape.
+//! mode's entry shape. Both evaluation paths are also anchored to the tape
+//! forward, at one, two and four heads.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,6 +16,7 @@ use ucad_model::{
     DetectionMode, Detector, DetectorConfig, MaskMode, ScoreCache, TransDas, TransDasConfig,
     VerdictDetail,
 };
+use ucad_nn::Tensor;
 use ucad_pool::{with_pool, Pool};
 use ucad_trace::{generate_raw_log, AnomalySynthesizer, ScenarioSpec, SessionGenerator};
 
@@ -172,44 +174,62 @@ fn last_row_scores_are_bitwise_the_full_matrix_last_row() {
     for mask in [MaskMode::TransDas, MaskMode::Causal, MaskMode::Full] {
         for positional in [false, true] {
             for blocks in 1..=3 {
-                let model = TransDas::new(TransDasConfig {
-                    vocab_size: VOCAB,
-                    hidden: 16,
-                    heads: 2,
-                    blocks,
-                    window: L,
-                    positional,
-                    mask,
-                    seed: 7 + blocks as u64,
-                    ..TransDasConfig::scenario1(VOCAB)
-                });
-                for threads in [1, 2] {
-                    with_pool(Arc::new(Pool::new(threads)), || {
-                        let cache = ScoreCache::new(contexts.len());
-                        for ctx in &contexts {
-                            let full = model.position_scores(ctx);
-                            let want = bits(full.row(full.rows() - 1));
-                            let label = format!(
-                                "{mask:?} positional={positional} blocks={blocks} \
-                                 threads={threads} len={}",
-                                ctx.len()
-                            );
-                            assert_eq!(bits(&model.next_scores(ctx)), want, "{label}");
-                            for expect_hit in [false, true] {
-                                let (memo, hit) =
-                                    model.next_scores_cached_flagged(ctx, Some(&cache));
-                                assert_eq!(memo.shape(), (1, VOCAB), "{label}");
-                                assert_eq!(bits(memo.row(0)), want, "{label}");
-                                assert_eq!(hit, Some(expect_hit), "{label}");
-                            }
-                            checked += 1;
-                        }
+                // One, two and four heads: the packed projections' column
+                // offsets of every head width the wall can reach.
+                for heads in [1, 2, 4] {
+                    let model = TransDas::new(TransDasConfig {
+                        vocab_size: VOCAB,
+                        hidden: 16,
+                        heads,
+                        blocks,
+                        window: L,
+                        positional,
+                        mask,
+                        seed: 7 + blocks as u64,
+                        ..TransDasConfig::scenario1(VOCAB)
                     });
+                    let m = model.store.value(model.embedding_id());
+                    for threads in [1, 2] {
+                        with_pool(Arc::new(Pool::new(threads)), || {
+                            let cache = ScoreCache::new(contexts.len());
+                            for ctx in &contexts {
+                                let full = model.position_scores(ctx);
+                                let want = bits(full.row(full.rows() - 1));
+                                let label = format!(
+                                    "{mask:?} positional={positional} blocks={blocks} \
+                                     heads={heads} threads={threads} len={}",
+                                    ctx.len()
+                                );
+                                // Both rewritten eval paths are anchored to the
+                                // tape forward, not only to each other.
+                                if threads == 1 {
+                                    let tape = model.output_reference(ctx);
+                                    let tape_last =
+                                        Tensor::row_vector(tape.row(L - 1).to_vec()).matmul_bt(m);
+                                    assert_eq!(bits(tape_last.row(0)), want, "tape: {label}");
+                                    assert_eq!(
+                                        bits(tape.matmul_bt(m).data()),
+                                        bits(full.data()),
+                                        "tape matrix: {label}"
+                                    );
+                                }
+                                assert_eq!(bits(&model.next_scores(ctx)), want, "{label}");
+                                for expect_hit in [false, true] {
+                                    let (memo, hit) =
+                                        model.next_scores_cached_flagged(ctx, Some(&cache));
+                                    assert_eq!(memo.shape(), (1, VOCAB), "{label}");
+                                    assert_eq!(bits(memo.row(0)), want, "{label}");
+                                    assert_eq!(hit, Some(expect_hit), "{label}");
+                                }
+                                checked += 1;
+                            }
+                        });
+                    }
                 }
             }
         }
     }
-    assert_eq!(checked, 3 * 2 * 3 * 2 * contexts.len());
+    assert_eq!(checked, 3 * 2 * 3 * 3 * 2 * contexts.len());
 }
 
 /// Verdicts with their rank and score, minus the cache-hit flag (which is
