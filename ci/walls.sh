@@ -119,11 +119,16 @@ wall_chaos() {
     UCAD_THREADS=$t cargo test --release --test tenant_supervision
   done
   # Fault-armed tenant soak (pool worker panic heals, per-tenant alerts unchanged)
-  cargo run --release --example multi_tenant > tenant_clean.out
+  UCAD_TENANT_BUDGET=2 cargo run --release --example multi_tenant > tenant_clean.out
   UCAD_FAULTS="panic=10" cargo run --release --example multi_tenant > tenant_soak.out
   grep -q '^ucad_serve_worker_restarts_total [1-9]' tenant_soak.out
   grep -q '^ucad_serve_records_shed_total 0' tenant_soak.out
   diff <(grep '^tenant ' tenant_clean.out) <(grep '^tenant ' tenant_soak.out)
+  # Transient tenant fs failures (profile and checkpoint I/O retried, per-tenant alerts unchanged)
+  UCAD_TENANT_BUDGET=2 UCAD_FAULTS="fs_fail=2" \
+    cargo run --release --example multi_tenant > tenant_fs.out
+  grep -q '^faults fired: 2 fs I/O failures' tenant_fs.out
+  diff <(grep '^tenant ' tenant_clean.out) <(grep '^tenant ' tenant_fs.out)
   # Fault-armed serving soak (worker panic + scoring stall, survives and reconciles)
   UCAD_FAULTS="panic=10;stall_us=200;stall_limit=50" \
     cargo run --release --example serving > soak.out

@@ -35,7 +35,7 @@
 //! | `stall_limit=M`      | stop stalling after M stalls (default unlimited)             |
 //! | `saturate=A..B`      | submissions A..B (0-based, half-open) see a full queue       |
 //! | `saturate=A..B@S`    | same, but only on shard S                                    |
-//! | `fs_fail=K`          | the next K checkpoint fs operations fail with an I/O error   |
+//! | `fs_fail=K`          | the next K durable-file operations fail with an I/O error    |
 //! | `fs_corrupt=K`       | the next K checkpoint reads return a bit-flipped payload     |
 //! | `fs_scope=DIR`       | fault only fs operations on paths under DIR                  |
 //! | `proc_crash=K`       | abort the whole process just before its Kth WAL append       |
@@ -830,9 +830,10 @@ fn in_scope(state: &PlanState, path: &Path) -> bool {
     }
 }
 
-/// Checkpoint-store hook: `std::fs::read` with injected failures. The
-/// armed plan may fail the read outright (consuming one `fs_fail` budget
-/// unit) or flip one bit of the payload (consuming one `fs_corrupt` unit).
+/// Durable-file hook (checkpoints, snapshots, tenant profiles):
+/// `std::fs::read` with injected failures. The armed plan may fail the read
+/// outright (consuming one `fs_fail` budget unit) or flip one bit of the
+/// payload (consuming one `fs_corrupt` unit).
 pub fn fs_read(path: &Path) -> io::Result<Vec<u8>> {
     let Some(state) = current().filter(|s| in_scope(s, path)) else {
         return std::fs::read(path);
@@ -854,7 +855,8 @@ pub fn fs_read(path: &Path) -> io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Checkpoint-store hook: `std::fs::write` with injected failures.
+/// Durable-file hook (checkpoints, snapshots, tenant profiles):
+/// `std::fs::write` with injected failures.
 pub fn fs_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let Some(state) = current().filter(|s| in_scope(s, path)) else {
         return std::fs::write(path, bytes);
@@ -867,7 +869,8 @@ pub fn fs_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     std::fs::write(path, bytes)
 }
 
-/// Checkpoint-store hook: `std::fs::rename` with injected failures.
+/// Durable-file hook (checkpoints, snapshots, tenant profiles):
+/// `std::fs::rename` with injected failures.
 pub fn fs_rename(from: &Path, to: &Path) -> io::Result<()> {
     let Some(state) = current().filter(|s| in_scope(s, from)) else {
         return std::fs::rename(from, to);

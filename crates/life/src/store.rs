@@ -1,15 +1,26 @@
 //! Versioned, integrity-checked checkpoint store.
 //!
-//! A checkpoint is the [`TransDas::to_json`] snapshot wrapped in a small
-//! binary envelope:
+//! A checkpoint is a model snapshot wrapped in a small binary envelope:
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic "UCADCKP1"
+//! 0       8     magic "UCADCKP2" (or "UCADCKP1", see below)
 //! 8       4     payload length, u32 little-endian
 //! 12      4     CRC-32 (IEEE) of the payload, u32 little-endian
-//! 16      n     payload: the model snapshot JSON
+//! 16      n     payload
 //! ```
+//!
+//! The magic selects the payload codec:
+//!
+//! | magic      | payload                                  | written by          |
+//! |------------|------------------------------------------|---------------------|
+//! | `UCADCKP2` | [`TransDas::to_bytes`]: the configuration as JSON, then every tensor's shape and raw little-endian `f32`s | [`CheckpointStore::save`] |
+//! | `UCADCKP1` | [`TransDas::to_json`]: the whole snapshot as JSON | older stores; still loads |
+//!
+//! The binary payload is four bytes per weight where JSON spends about
+//! twenty, decodes without parsing a float, and round-trips every weight
+//! bit-exactly, non-finite ones included (JSON writes NaN and ±inf as
+//! `null`, which never loads).
 //!
 //! Version identifiers are **content hashes** (FNV-1a 64 of the payload), so
 //! saving the same weights twice is idempotent and a checkpoint can never be
@@ -23,6 +34,9 @@
 //! envelope (magic, exact length, CRC) and returns
 //! [`UcadError::Corrupt`] for any damage — truncation, bit flips, trailing
 //! garbage, or a payload the model codec rejects — and never panics.
+//! Version ids hash the payload, so the same weights saved under the two
+//! codecs get two ids: re-saving a model loaded from a `UCADCKP1` file
+//! commits a new `UCADCKP2` version.
 //! Retention is enforced on save: the oldest versions beyond the configured
 //! count are dropped from the manifest and their files deleted.
 //!
@@ -37,11 +51,13 @@
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use ucad_model::{TransDas, UcadError};
-use ucad_wal::crc32::crc32;
 use ucad_wal::envelope;
 use ucad_wal::{fnv1a64, retry_io};
 
-const MAGIC: &[u8; 8] = b"UCADCKP1";
+/// The envelope magic [`CheckpointStore::save`] writes: a binary payload.
+const MAGIC: &[u8; 8] = b"UCADCKP2";
+/// The magic of older checkpoints, whose payload is the model JSON.
+const MAGIC_JSON: &[u8; 8] = b"UCADCKP1";
 const MANIFEST_FILE: &str = "MANIFEST.json";
 const MANIFEST_VERSION: u32 = 1;
 
@@ -157,7 +173,7 @@ impl CheckpointStore {
     /// versions beyond the retention count are garbage-collected oldest
     /// first.
     pub fn save(&mut self, model: &TransDas) -> Result<String, UcadError> {
-        let payload = model.to_json().into_bytes();
+        let payload = model.to_bytes();
         let id = format!("v{:016x}", fnv1a64(&payload));
         let seq = self.manifest.next_seq;
         self.manifest.next_seq += 1;
@@ -170,7 +186,6 @@ impl CheckpointStore {
             return Ok(id);
         }
 
-        let crc = crc32(&payload);
         let bytes = envelope::encode(MAGIC, &payload);
 
         let final_path = self.path_of(&id);
@@ -183,7 +198,7 @@ impl CheckpointStore {
         self.manifest.entries.push(ManifestEntry {
             id: id.clone(),
             bytes: bytes.len() as u64,
-            crc32: crc,
+            crc32: envelope::stored_crc(&bytes),
             seq,
         });
         while self.manifest.entries.len() > self.retention {
@@ -237,16 +252,21 @@ impl CheckpointStore {
         }
     }
 
-    /// Decodes a checkpoint envelope from raw bytes; `origin` labels the
-    /// byte source in errors. Public so robustness tests (and external
-    /// tooling) can validate envelopes without a store.
+    /// Decodes a checkpoint envelope from raw bytes, choosing the payload
+    /// codec by its magic; `origin` labels the byte source in errors.
+    /// Public so robustness tests (and external tooling) can validate
+    /// envelopes without a store.
     pub fn decode(bytes: &[u8], origin: &str) -> Result<TransDas, UcadError> {
+        let rejected =
+            |e| UcadError::corrupt(origin, format!("payload rejected by model codec: {e}"));
+        if bytes.starts_with(MAGIC_JSON) {
+            let payload = envelope::decode(MAGIC_JSON, bytes, origin)?;
+            let json = std::str::from_utf8(payload)
+                .map_err(|e| UcadError::corrupt(origin, format!("payload is not UTF-8: {e}")))?;
+            return TransDas::from_json(json).map_err(rejected);
+        }
         let payload = envelope::decode(MAGIC, bytes, origin)?;
-        let json = std::str::from_utf8(payload)
-            .map_err(|e| UcadError::corrupt(origin, format!("payload is not UTF-8: {e}")))?;
-        TransDas::from_json(json).map_err(|e| {
-            UcadError::corrupt(origin, format!("payload rejected by model codec: {e}"))
-        })
+        TransDas::from_bytes(payload).map_err(rejected)
     }
 }
 

@@ -17,6 +17,12 @@ pub enum MaskMode {
     Full,
 }
 
+/// Largest window `L` a configuration may ask for. The attention mask alone
+/// holds `L²` f32 (64 MiB at this bound); the paper's windows are at most
+/// 100. Bounding it keeps a checkpoint whose configuration lies about `L`
+/// from sizing an allocation no payload byte accounts for.
+pub const MAX_WINDOW: usize = 4096;
+
 /// Hyper-parameters for Trans-DAS and its ablation variants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransDasConfig {
@@ -148,6 +154,30 @@ impl TransDasConfig {
         self.hidden / self.heads
     }
 
+    /// The `(rows, cols)` of every parameter [`crate::TransDas::new`]
+    /// registers, in registration order, computed lazily: a checkpoint
+    /// decoder walks it beside the payload's tensors, so a configuration
+    /// that claims more weights than the payload holds is rejected before
+    /// any model is built.
+    pub fn param_shapes(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (h, d) = (self.hidden, self.head_dim());
+        // Per block: wq, wk, wv per head; wo; ln1; ffn1; ffn2; ln2.
+        let block = std::iter::repeat_n((h, d), 3 * self.heads).chain([
+            (h, h),
+            (1, h),
+            (1, h),
+            (h, h),
+            (1, h),
+            (h, h),
+            (1, h),
+            (1, h),
+            (1, h),
+        ]);
+        std::iter::once((self.vocab_size, h))
+            .chain(self.positional.then_some((self.window, h)))
+            .chain((0..self.blocks).flat_map(move |_| block.clone()))
+    }
+
     /// Validates structural constraints.
     pub fn validate(&self) -> Result<(), UcadError> {
         if self.vocab_size < 2 {
@@ -160,6 +190,12 @@ impl TransDasConfig {
             return Err(UcadError::invalid(
                 "hidden/heads/blocks/window",
                 "hidden/heads/blocks must be positive, window >= 2",
+            ));
+        }
+        if self.window > MAX_WINDOW {
+            return Err(UcadError::invalid(
+                "window",
+                format!("window ({}) must be at most {MAX_WINDOW}", self.window),
             ));
         }
         if !self.hidden.is_multiple_of(self.heads) {

@@ -13,9 +13,16 @@
 //! from the checkpoint store (a *cold load*) and evicts the
 //! least-recently-used resident. Per-tenant score caches are deliberately
 //! **not** evicted with the model: the checkpoint round-trip is bit-exact
-//! (PR 4's wall), so every memoized score stays valid across an
-//! evict/reload cycle — the cache is the one thing worth keeping warm for
-//! a tenant that is about to come back.
+//! (`tests/checkpoint_props.rs`), so every memoized score stays valid
+//! across an evict/reload cycle — the cache is the one thing worth keeping
+//! warm for a tenant that is about to come back. A cold load decodes the
+//! binary checkpoint payload, whose weights are their raw `f32` bits, so
+//! that round trip is bit-exact by construction rather than by the JSON
+//! printer's float formatting.
+//!
+//! Profile and checkpoint I/O both go through the `ucad-fault` fs shim and
+//! [`retry_io`], so a transient read, write or rename failure is retried
+//! the same way for either file.
 //!
 //! All failures are typed [`UcadError`]s: a corrupt `profile.json` or
 //! checkpoint surfaces as [`UcadError::Corrupt`] from [`TenantRegistry::activate`],
@@ -31,6 +38,7 @@ use ucad_life::CheckpointStore;
 use ucad_model::{DetectorConfig, ScoreCache, UcadError};
 use ucad_obs::{Counter, Gauge, Registry};
 use ucad_preprocess::Preprocessor;
+use ucad_wal::retry_io;
 
 /// Checkpoint versions retained per tenant (current + one fallback).
 const CHECKPOINT_RETENTION: usize = 2;
@@ -238,8 +246,10 @@ impl TenantRegistry {
         // tmp + rename so a crash mid-write never leaves a torn profile.
         let path = self.profile_path(tenant);
         let tmp = tdir.join("profile.json.tmp");
-        std::fs::write(&tmp, text).map_err(|e| UcadError::io(tmp.display().to_string(), &e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| UcadError::io(path.display().to_string(), &e))?;
+        retry_io(|| ucad_fault::fs_write(&tmp, text.as_bytes()))
+            .map_err(|e| UcadError::io(tmp.display().to_string(), &e))?;
+        retry_io(|| ucad_fault::fs_rename(&tmp, &path))
+            .map_err(|e| UcadError::io(path.display().to_string(), &e))?;
         let mut store = CheckpointStore::open(self.checkpoints_dir(tenant), CHECKPOINT_RETENTION)?;
         store.save(&system.model)?;
         Ok(())
@@ -247,14 +257,17 @@ impl TenantRegistry {
 
     fn load_profile(&self, tenant: TenantId) -> Result<TenantProfile, UcadError> {
         let path = self.profile_path(tenant);
-        let text = std::fs::read_to_string(&path)
+        let bytes = retry_io(|| ucad_fault::fs_read(&path))
             .map_err(|e| UcadError::io(path.display().to_string(), &e))?;
-        serde_json::from_str(&text).map_err(|e| {
-            UcadError::corrupt(
-                path.display().to_string(),
-                format!("profile decode failed: {e:?}"),
-            )
-        })
+        std::str::from_utf8(&bytes)
+            .map_err(|e| format!("{e:?}"))
+            .and_then(|text| serde_json::from_str(text).map_err(|e| format!("{e:?}")))
+            .map_err(|e| {
+                UcadError::corrupt(
+                    path.display().to_string(),
+                    format!("profile decode failed: {e}"),
+                )
+            })
     }
 
     fn touch(&mut self, tenant: TenantId) {
@@ -500,6 +513,37 @@ mod tests {
             Err(UcadError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Profile writes, renames and reads go through the fault shim and its
+    /// retry budget, as checkpoint I/O does: three transient failures
+    /// scoped to the profile files are absorbed.
+    #[test]
+    fn profile_io_retries_transient_failures() {
+        let dir = temp_dir("flaky-profile");
+        let mut reg = TenantRegistry::open(&dir, 1, 0).unwrap();
+        let sys = tiny_system(TenantArchetype::Commenting, 9);
+        let tmp = dir.join(tenant_dirname(1)).join("profile.json.tmp");
+        let guard = ucad_fault::FaultPlan::new()
+            .fs_fail_ops(3)
+            .fs_scope(&tmp)
+            .arm();
+        reg.register(1, "one", &sys).unwrap();
+        assert_eq!(guard.stats().fs_injected_io, 3, "profile write retried");
+        drop(guard);
+
+        reg.register(2, "two", &sys).unwrap();
+        assert!(!reg.is_resident(1), "budget 1 must evict tenant 1");
+        let profile = dir.join(tenant_dirname(1)).join("profile.json");
+        let guard = ucad_fault::FaultPlan::new()
+            .fs_fail_ops(3)
+            .fs_scope(&profile)
+            .arm();
+        let handle = reg.activate(1).unwrap();
+        assert_eq!(guard.stats().fs_injected_io, 3, "profile read retried");
+        assert_eq!(handle.name.as_ref(), "one");
+        drop(guard);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,16 +1,26 @@
-//! The whole-file integrity envelope shared by every durable UCAD artifact.
+//! The whole-file integrity envelope shared by UCAD's durable snapshots.
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic (8 ASCII bytes, e.g. "UCADCKP1")
+//! 0       8     magic (8 ASCII bytes, e.g. "UCADCKP2")
 //! 8       4     payload length, u32 little-endian
 //! 12      4     CRC-32 (IEEE) of the payload, u32 little-endian
 //! 16      n     payload
 //! ```
 //!
-//! The format is exactly the PR-4 checkpoint envelope, generalized over the
-//! magic so model checkpoints (`UCADCKP1`), session-state snapshots
-//! (`UCADSNP1`) and WAL segment headers validate through one code path.
+//! The format is the checkpoint envelope, generalized over the magic so
+//! model checkpoints and session-state snapshots validate through one code
+//! path:
+//!
+//! | magic      | artifact                                           |
+//! |------------|----------------------------------------------------|
+//! | `UCADCKP2` | model checkpoint, binary payload (`ucad-life`)     |
+//! | `UCADCKP1` | model checkpoint, JSON payload (read only)         |
+//! | `UCADSNP1` | session-state snapshot                             |
+//!
+//! WAL segments (`UCADWAL1`) are not enveloped: their header and per-record
+//! frames are checked by `segment` and `frame`.
+//!
 //! [`decode`] checks, in order: header length, magic, declared-vs-actual
 //! payload length, CRC — and reports any damage as [`UcadError::Corrupt`]
 //! with the failed check spelled out. It never panics on hostile bytes.
@@ -29,6 +39,12 @@ pub fn encode(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
     bytes.extend_from_slice(&crc32(payload).to_le_bytes());
     bytes.extend_from_slice(payload);
     bytes
+}
+
+/// The payload CRC-32 an envelope's header records. `bytes` must hold at
+/// least [`HEADER_LEN`] bytes, as [`encode`]'s output always does.
+pub fn stored_crc(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]])
 }
 
 /// Validates the envelope on `bytes` and returns the payload slice.
@@ -57,7 +73,7 @@ pub fn decode<'a>(magic: &[u8; 8], bytes: &'a [u8], origin: &str) -> Result<&'a 
             format!("payload length mismatch: header declares {declared}, file holds {actual}"),
         ));
     }
-    let stored_crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
+    let stored_crc = stored_crc(bytes);
     let payload = &bytes[HEADER_LEN..];
     let computed = crc32(payload);
     if stored_crc != computed {

@@ -50,8 +50,8 @@ pub const IO_RETRIES: u32 = 3;
 
 /// Runs `op`, retrying transient I/O failures per the durability layer's
 /// retry policy. `NotFound` is not transient (a missing file stays missing)
-/// and surfaces immediately. Shared by the WAL, the snapshot store and the
-/// `ucad-life` checkpoint store.
+/// and surfaces immediately. Shared by the WAL, the snapshot store, the
+/// `ucad-life` checkpoint store and the `ucad-tenant` profiles.
 pub fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
     let mut backoff_ms = 1u64;
     let mut attempt = 0;

@@ -186,6 +186,12 @@ fn main() {
         reg.evictions(),
         reg.cold_loads()
     );
+    if let Some(fired) = ucad_fault::stats() {
+        println!(
+            "faults fired: {} fs I/O failures, {} worker panics",
+            fired.fs_injected_io, fired.panics_fired
+        );
+    }
 
     println!("--- /metrics ---");
     print!("{}", pool.render_metrics());
