@@ -3,7 +3,7 @@
 #
 #   bash ci/walls.sh list        # the walls the CI matrix runs, one per line
 #   bash ci/walls.sh build       # release build, tier-1, workspace tests, prebuilt wall binaries
-#   bash ci/walls.sh lint        # rustfmt, clippy, matrix == `list`
+#   bash ci/walls.sh lint        # rustfmt, clippy, rustdoc links, matrix == `list`
 #   bash ci/walls.sh <wall>      # one wall, e.g. `bash ci/walls.sh chaos`
 #
 # Each wall writes its captured outputs (`*.out`, `events.log`) to the
@@ -39,6 +39,10 @@ require_metrics() {
 wall_lint() {
   cargo fmt --all --check
   cargo clippy --workspace --all-targets -- -D warnings
+  # Doc links must resolve (a deleted API leaves none dangling). The
+  # vendored stand-in crates are not ours to document.
+  RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive --exclude serde_json
   # The workflow's wall matrix must name exactly the walls above.
   python3 - "$WALLS" <<'EOF'
 import sys, yaml

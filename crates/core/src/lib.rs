@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod admission;
+mod durable;
 pub mod experiment;
 pub mod metrics;
 pub mod online;

@@ -50,7 +50,7 @@ pub enum AlertReason {
 
 /// Passive hooks onto the serving engine's detection stream, the feed a
 /// drift monitor (or any other telemetry consumer) subscribes to via
-/// [`crate::ShardedOnlineUcad::try_new_observed`].
+/// [`crate::ShardedOnlineUcad::try_new_full`].
 ///
 /// Implementations must be cheap and non-blocking: hooks run inline on the
 /// shard worker threads, inside the scoring hot loop. With more than one

@@ -55,17 +55,17 @@
 //! operation is then also appended — before its send — to a per-shard
 //! segmented on-disk log (`ucad-wal`: CRC-framed records, fsync batching,
 //! rotation), and periodic snapshots of each shard's session state bound
-//! replay length and drive segment truncation. After a `kill -9`,
-//! [`ShardedOnlineUcad::recover`] (or [`ShardedOnlineUcad::try_new_durable`]
-//! on the same directory) reopens the logs, restores the newest intact
-//! snapshot, replays the durable suffix, and resumes — producing the exact
-//! alert stream a crash-free run would have. Replay is at-least-once by
-//! construction (an alert delivered by [`ShardedOnlineUcad::drain_alerts`]
-//! just before the crash is re-raised); the drain boundary makes it
-//! exactly-once by logging a durable marker naming every delivered alert
-//! sequence and filtering those out forever. `tests/crash_recovery.rs`
-//! holds the byte-identity guarantee under a wall of injected
-//! process-crash points.
+//! replay length and drive segment truncation. The record format, the logs
+//! and the recovery live in `crate::durable`. After a `kill -9`,
+//! [`ShardedOnlineUcad::recover`] on the same directory reopens the logs,
+//! restores the newest intact snapshot, replays the durable suffix, and
+//! resumes — producing the exact alert stream a crash-free run would have.
+//! Replay is at-least-once by construction (an alert delivered by
+//! [`ShardedOnlineUcad::drain_alerts`] just before the crash is re-raised);
+//! the drain boundary makes it exactly-once by logging a durable marker
+//! naming every delivered alert sequence and filtering those out forever.
+//! `tests/crash_recovery.rs` holds the byte-identity guarantee under a wall
+//! of injected process-crash points.
 //!
 //! When a shard queue saturates, [`OverloadPolicy`] picks the failure mode:
 //! block the submitter (default, lossless backpressure), shed the newest
@@ -76,12 +76,12 @@
 //! [`OnlineUcad`]: crate::online::OnlineUcad
 //! [`SessionTracker`]: crate::online::SessionTracker
 
-use crate::online::{Alert, AlertReason, ServeObserver, TrackerState};
+use crate::durable::{DurableMetrics, DurableState};
+use crate::online::{Alert, AlertReason, ServeObserver};
 use crate::serve_core::{lock, Op, OutboxAlert, Route, RoutedOp, ShardCore, ShardSeries, Trackers};
 use crate::system::Ucad;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use ucad_baselines::NgramLm;
@@ -91,10 +91,11 @@ use ucad_obs::{
     latency_log_bounds, Counter, FlightEntry, FlightRecorder, Gauge, Histogram, MetricKind,
     Registry,
 };
-use ucad_wal::{SegmentedWal, SnapshotStore, WalMetrics, WalOptions};
+
+pub use crate::durable::DurabilityConfig;
 
 /// The engine's one route serves tenant 0 (routing salt 0).
-const TENANT: u64 = 0;
+pub(crate) const TENANT: u64 = 0;
 
 /// What the engine does when a record arrives for a shard whose queue is
 /// full (or whose saturation is forced by an armed `ucad-fault` plan).
@@ -112,7 +113,8 @@ pub enum OverloadPolicy {
     /// Score the record caller-side with the cheap n-gram fallback instead
     /// of the full Trans-DAS path. Alerts raised this way carry
     /// `degraded: true`. Requires a fitted [`NgramLm`] at construction
-    /// ([`ShardedOnlineUcad::try_new_full`]).
+    /// ([`ShardedOnlineUcad::try_new_full`]). Durable engines refuse it: a
+    /// degraded alert lives only in memory, so a crash would lose it.
     Degrade,
 }
 
@@ -248,61 +250,6 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Where and how the engine persists its state. Passed to
-/// [`ShardedOnlineUcad::try_new_durable`] / [`ShardedOnlineUcad::recover`];
-/// engines built without one keep the historical in-memory-only fault
-/// tolerance (thread supervision, no process-crash recovery).
-#[derive(Debug, Clone)]
-pub struct DurabilityConfig {
-    /// Root directory of the durable state: `meta/` (routing config, drain
-    /// markers, epoch cuts) plus `shard-N/wal/` and `shard-N/snap/` per
-    /// shard.
-    pub dir: PathBuf,
-    /// Segment rotation threshold for the per-shard logs, in bytes.
-    pub segment_max_bytes: u64,
-    /// Fsync batching for the per-shard logs: sync after every N appends
-    /// (1 = every record, strongest; 0 = only at barriers — drains,
-    /// snapshots, shutdown). The meta log always syncs per record: drain
-    /// markers are the exactly-once boundary and must never be lost.
-    pub fsync_every: u64,
-    /// Automatically snapshot every shard (and truncate the logs) once this
-    /// many operations have been appended since the last snapshot, checked
-    /// at drain time. 0 = automatic snapshots off; explicit
-    /// [`ShardedOnlineUcad::snapshot`] calls and model swaps still snapshot.
-    pub snapshot_every: u64,
-}
-
-impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default knobs: 1 MiB segments,
-    /// fsync on every append, no automatic snapshots.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DurabilityConfig {
-            dir: dir.into(),
-            segment_max_bytes: 1 << 20,
-            fsync_every: 1,
-            snapshot_every: 0,
-        }
-    }
-
-    /// Sets the segment rotation threshold in bytes.
-    pub fn segment_max_bytes(mut self, bytes: u64) -> Self {
-        self.segment_max_bytes = bytes;
-        self
-    }
-
-    /// Sets the fsync batch size for the per-shard logs.
-    pub fn fsync_every(mut self, appends: u64) -> Self {
-        self.fsync_every = appends;
-        self
-    }
-
-    /// Sets the automatic snapshot cadence in appends (0 disables).
-    pub fn snapshot_every(mut self, appends: u64) -> Self {
-        self.snapshot_every = appends;
-        self
-    }
-}
-
 /// Counter snapshot of a running engine (or, through `ucad-net`, of a
 /// remote daemon — the struct crosses the wire as JSON).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -348,112 +295,6 @@ pub struct ShutdownReport {
     /// The flight recorder's resident entries (per-alert diagnostics),
     /// oldest first.
     pub flight: Vec<FlightEntry>,
-}
-
-/// One durable (on-disk) log record of a shard, JSON-encoded inside the
-/// WAL's CRC frame. The disk form of an [`Op`], with two differences:
-/// entries carry their model epoch inline, and a refused send cannot *pop*
-/// an already-written entry — it appends a [`DurableEntry::Revoke`] instead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum DurableEntry {
-    /// An accepted record with its global arrival sequence number and the
-    /// model epoch it was submitted under.
-    Record {
-        seq: u64,
-        epoch: u64,
-        record: LogRecord,
-    },
-    /// A session close.
-    Close { session_id: u64, epoch: u64 },
-    /// A false-alarm confirmation.
-    FalseAlarm { session_id: u64, epoch: u64 },
-    /// Cancels the immediately preceding entry: its send was refused (shed
-    /// or degraded), so replay must not score it. Always directly follows
-    /// the entry it cancels — the engine appends it in the same submission.
-    Revoke,
-}
-
-/// One record of the engine-global meta log (`dir/meta`), which is never
-/// truncated and always fsynced per append.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum MetaEntry {
-    /// Written once when a durable directory is first initialized; recovery
-    /// rejects an engine whose routing (shard count, seed) or scoring
-    /// discipline differs, since shard logs would no longer line up.
-    Config {
-        shards: usize,
-        seed: u64,
-        mode: DetectionMode,
-    },
-    /// A completed [`ShardedOnlineUcad::drain_alerts`]: the global sequence
-    /// counter at the drain and the alert seqs handed to the caller. Replay
-    /// filters these out forever — the exactly-once boundary.
-    Drain { next_seq: u64, delivered: Vec<u64> },
-    /// A completed model hot-swap; recovery resumes at the highest epoch.
-    Epoch { epoch: u64 },
-}
-
-/// A durable snapshot of one shard's full serving state, committed
-/// atomically via the shard's [`SnapshotStore`]. Recovery restores the
-/// newest intact snapshot and replays only the durable entries at or after
-/// `wal_idx`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ShardSnapshot {
-    /// Durable log index the snapshot covers up to (exclusive).
-    wal_idx: u64,
-    /// Model epoch at snapshot time.
-    epoch: u64,
-    /// Global sequence counter at snapshot time.
-    next_seq: u64,
-    /// Cumulative effective (non-revoked) durable operations folded into
-    /// this snapshot — the resume watermark for a replaying driver.
-    ops: u64,
-    /// The shard tracker's exported session state.
-    tracker: TrackerState,
-    /// Alerts raised but not yet drained at snapshot time.
-    outbox: Vec<(u64, Alert)>,
-    /// Verified-normal feedback not yet drained at snapshot time.
-    feedback: Vec<Vec<u32>>,
-}
-
-fn encode_json<T: Serialize>(value: &T) -> Vec<u8> {
-    serde_json::to_string(value)
-        .expect("durable serve records serialize infallibly")
-        .into_bytes()
-}
-
-fn decode_json<T: Deserialize>(payload: &[u8], origin: &str) -> Result<T, UcadError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| UcadError::corrupt(origin, "durable record is not UTF-8"))?;
-    serde_json::from_str(text)
-        .map_err(|e| UcadError::corrupt(origin, format!("durable record does not parse: {e}")))
-}
-
-/// The durable half of one shard: its segmented log and snapshot store.
-struct ShardDurable {
-    wal: SegmentedWal,
-    snaps: SnapshotStore,
-    /// Effective (non-revoked) durable operations this shard has logged or
-    /// folded into snapshots, over the directory's whole lifetime.
-    ops: u64,
-    /// `wal_idx` of the previous retained snapshot: segments wholly below
-    /// it are unreachable even if the newest snapshot turns out damaged
-    /// (the store keeps two), so they are truncated at the next snapshot.
-    last_snap: u64,
-}
-
-/// Everything behind a [`DurabilityConfig`]: the meta log, the per-shard
-/// logs and snapshot stores, and the delivered-alert filter.
-struct DurableState {
-    cfg: DurabilityConfig,
-    meta: SegmentedWal,
-    shards: Vec<ShardDurable>,
-    /// Alert seqs already handed to a caller by a recorded drain; replayed
-    /// duplicates of these are filtered at the next drain.
-    delivered: HashSet<u64>,
-    /// Shard-log appends since the last snapshot round, for the automatic
-    /// snapshot cadence.
-    appends_since_snapshot: u64,
 }
 
 /// Per-session shadow state the engine keeps under
@@ -507,35 +348,17 @@ pub struct ShardedOnlineUcad {
 }
 
 impl ShardedOnlineUcad {
-    /// Wraps a trained system and spawns the worker shards.
-    ///
-    /// # Panics
-    /// Panics when `cfg.shards` is zero. Use
-    /// [`ShardedOnlineUcad::try_new`] to handle invalid configurations
-    /// without panicking.
-    pub fn new(system: Ucad, cfg: ServeConfig) -> Self {
-        Self::try_new(system, cfg).expect("invalid serve configuration")
-    }
-
-    /// Fallible constructor: rejects structurally invalid configurations
-    /// with an [`UcadError`] instead of panicking.
+    /// Wraps a trained system and spawns the worker shards. Structurally
+    /// invalid configurations ([`ServeConfig::validate`]) are rejected with
+    /// an [`UcadError`].
     pub fn try_new(system: Ucad, cfg: ServeConfig) -> Result<Self, UcadError> {
-        Self::try_new_full(system, cfg, None, None)
+        Self::construct(system, cfg, None, None, None)
     }
 
-    /// Like [`ShardedOnlineUcad::try_new`], additionally attaching a
-    /// [`ServeObserver`] whose hooks run inline on the shard workers for
-    /// every record, score, alert and session close — the feed a drift
-    /// monitor subscribes to.
-    pub fn try_new_observed(
-        system: Ucad,
-        cfg: ServeConfig,
-        observer: Option<Arc<dyn ServeObserver>>,
-    ) -> Result<Self, UcadError> {
-        Self::try_new_full(system, cfg, observer, None)
-    }
-
-    /// Full constructor: observer plus the degraded-mode fallback model.
+    /// [`ShardedOnlineUcad::try_new`] with an observer and the
+    /// degraded-mode fallback model. The [`ServeObserver`]'s hooks run
+    /// inline on the shard workers for every record, score, alert and
+    /// session close — the feed a drift monitor subscribes to.
     /// [`OverloadPolicy::Degrade`] requires a *fitted* [`NgramLm`]
     /// (typically trained on the same sessions as the serving model);
     /// passing none — or an unfitted one — under that policy is rejected.
@@ -548,37 +371,23 @@ impl ShardedOnlineUcad {
         Self::construct(system, cfg, observer, fallback, None)
     }
 
-    /// Durable constructor: like [`ShardedOnlineUcad::try_new_full`], with
-    /// every accepted operation appended to an on-disk WAL under
-    /// `durability.dir` *before* it is sent to a shard (see the module's
-    /// *Durability* section). On a fresh directory this starts a new
-    /// durable engine; on a directory with prior state it performs full
-    /// crash recovery first — same shard routing and scoring discipline
-    /// required — and resumes exactly where the durable log ends.
-    pub fn try_new_durable(
-        system: Ucad,
-        cfg: ServeConfig,
-        observer: Option<Arc<dyn ServeObserver>>,
-        fallback: Option<NgramLm>,
-        durability: DurabilityConfig,
-    ) -> Result<Self, UcadError> {
-        Self::construct(system, cfg, observer, fallback, Some(durability))
-    }
-
-    /// Recovers (or freshly creates) a durable engine from
-    /// `durability.dir`: restores the newest intact snapshot of every
-    /// shard, replays the durable log suffix — re-raising every alert whose
-    /// delivery was never recorded — and resumes accepting records. The
-    /// caller provides the serving system: models are not persisted here,
-    /// so train deterministically or load a `ucad-life` checkpoint.
-    /// Equivalent to [`ShardedOnlineUcad::try_new_durable`] without
-    /// observer or fallback.
+    /// The durable engine: every accepted operation is appended to an
+    /// on-disk WAL under `durability.dir` *before* it is sent to a shard
+    /// (see the module's *Durability* section). A fresh directory starts a
+    /// new engine; prior state — written under the same shard routing and
+    /// scoring discipline — is recovered first: the newest intact snapshot
+    /// of every shard, then the durable log suffix, re-raising every alert
+    /// whose delivery was never recorded. Models are not persisted here, so
+    /// train deterministically or load a `ucad-life` checkpoint.
+    ///
+    /// [`OverloadPolicy::Degrade`] is refused: a degraded alert lives only
+    /// in memory until the next drain, so a crash would lose it.
     pub fn recover(
         system: Ucad,
         cfg: ServeConfig,
         durability: DurabilityConfig,
     ) -> Result<Self, UcadError> {
-        Self::try_new_durable(system, cfg, None, None, durability)
+        Self::construct(system, cfg, None, None, Some(durability))
     }
 
     fn construct(
@@ -588,18 +397,19 @@ impl ShardedOnlineUcad {
         fallback: Option<NgramLm>,
         durability: Option<DurabilityConfig>,
     ) -> Result<Self, UcadError> {
-        if cfg.shards == 0 {
-            return Err(UcadError::invalid("shards", "at least one shard required"));
-        }
-        let mut degrade = match (cfg.overload, fallback) {
-            (OverloadPolicy::Degrade, Some(lm)) if lm.is_fitted() => Some(DegradeState {
-                lm,
-                sessions: HashMap::new(),
-            }),
+        cfg.validate()?;
+        let degrade = match (cfg.overload, fallback) {
+            (OverloadPolicy::Degrade, Some(lm)) if lm.is_fitted() && durability.is_none() => {
+                Some(DegradeState {
+                    lm,
+                    sessions: HashMap::new(),
+                })
+            }
             (OverloadPolicy::Degrade, _) => {
                 return Err(UcadError::invalid(
                     "overload",
-                    "the Degrade policy requires a fitted NgramLm fallback",
+                    "the Degrade policy requires a fitted NgramLm fallback and no \
+                     durability (degraded alerts live only in memory)",
                 ));
             }
             _ => None,
@@ -638,31 +448,6 @@ impl ShardedOnlineUcad {
                 MetricKind::Gauge,
                 "Model epoch currently serving (0 = the model the engine started with)",
             ),
-            (
-                "ucad_wal_segments_total",
-                MetricKind::Counter,
-                "Durable WAL segment files opened for appending",
-            ),
-            (
-                "ucad_wal_fsyncs_total",
-                MetricKind::Counter,
-                "Durable WAL fsync barriers issued",
-            ),
-            (
-                "ucad_wal_appends_total",
-                MetricKind::Counter,
-                "Records appended to the durable WAL",
-            ),
-            (
-                "ucad_wal_replayed_records_total",
-                MetricKind::Counter,
-                "Durable WAL records replayed during crash recovery",
-            ),
-            (
-                "ucad_serve_recoveries_total",
-                MetricKind::Counter,
-                "Engine constructions that recovered prior durable state",
-            ),
         ] {
             registry.describe(name, kind, help);
         }
@@ -685,198 +470,22 @@ impl ShardedOnlineUcad {
             &[],
             latency_log_bounds(),
         );
-        let wal_metrics = WalMetrics {
-            segments: registry.counter("ucad_wal_segments_total", &[]),
-            fsyncs: registry.counter("ucad_wal_fsyncs_total", &[]),
-            appends: registry.counter("ucad_wal_appends_total", &[]),
-        };
-        let replayed_records = registry.counter("ucad_wal_replayed_records_total", &[]);
-        let recoveries = registry.counter("ucad_serve_recoveries_total", &[]);
-
-        // Durable pre-pass: open the meta log and learn what a prior engine
-        // life left behind (routing config to validate, delivered-alert
-        // seqs for the exactly-once filter, the epoch to resume at).
-        let mut next_seq = 0u64;
-        let mut recovered_epoch = 0u64;
-        let mut prior_state = false;
-        let mut delivered: HashSet<u64> = HashSet::new();
-        let mut meta: Option<SegmentedWal> = None;
-        if let Some(dcfg) = &durability {
-            let meta_dir = dcfg.dir.join("meta");
-            let meta_origin = meta_dir.display().to_string();
-            let meta_opts = WalOptions {
-                // Never truncated and tiny: one segment per directory
-                // lifetime is plenty, so rotation is effectively off.
-                segment_max_bytes: u64::MAX,
-                fsync_every: 1,
-            };
-            let (mut wal, rec) = SegmentedWal::open(meta_dir, meta_opts, wal_metrics.clone())?;
-            for payload in &rec.entries {
-                match decode_json::<MetaEntry>(payload, &meta_origin)? {
-                    MetaEntry::Config { shards, seed, mode } => {
-                        prior_state = true;
-                        if shards != cfg.shards || seed != cfg.seed || mode != cfg.mode {
-                            return Err(UcadError::invalid(
-                                "durability",
-                                format!(
-                                    "directory was written with shards={shards}, seed={seed}, \
-                                     mode={mode:?}; recovery requires the same shard routing \
-                                     and scoring discipline (got shards={}, seed={}, mode={:?})",
-                                    cfg.shards, cfg.seed, cfg.mode
-                                ),
-                            ));
-                        }
-                    }
-                    MetaEntry::Drain {
-                        next_seq: at,
-                        delivered: seqs,
-                    } => {
-                        next_seq = next_seq.max(at);
-                        delivered.extend(seqs);
-                    }
-                    MetaEntry::Epoch { epoch } => recovered_epoch = recovered_epoch.max(epoch),
-                }
-            }
-            if !prior_state {
-                wal.append(&encode_json(&MetaEntry::Config {
-                    shards: cfg.shards,
-                    seed: cfg.seed,
-                    mode: cfg.mode,
-                }))?;
-            }
-            meta = Some(wal);
-        }
-
-        // Recovery replays with the caller's system but without cache or
-        // observer: recovery is rare, a memoized score is bit-identical to
-        // a computed one, and the observer's feed is per engine life.
-        let recovery_route = Route::new(TENANT, Arc::clone(&system), None, None, None, None);
-        let mut shard_durables: Vec<ShardDurable> = Vec::with_capacity(cfg.shards);
-        let mut total_replayed = 0u64;
+        let durable_metrics = DurableMetrics::register(&registry);
+        let mut durable = durability
+            .map(|d| DurableState::open(d, &cfg, durable_metrics))
+            .transpose()?;
         let series = ShardSeries {
             records: "ucad_serve_records_total",
             alerts: Some("ucad_serve_alerts_total"),
         };
-        let core = ShardCore::build(&cfg, &registry, &flight, series, |h| {
-            let mut trackers = Trackers::new(cfg.mode);
-            let Some(dcfg) = &durability else {
-                return Ok(trackers);
-            };
-            // Shards are built in index order, each pushing one durable half.
-            let i = shard_durables.len();
-            let shard_dir = dcfg.dir.join(format!("shard-{i}"));
-            let origin = shard_dir.display().to_string();
-            let shard_opts = WalOptions {
-                segment_max_bytes: dcfg.segment_max_bytes,
-                fsync_every: dcfg.fsync_every,
-            };
-            let (wal, rec) =
-                SegmentedWal::open(shard_dir.join("wal"), shard_opts, wal_metrics.clone())?;
-            let snaps = SnapshotStore::open(shard_dir.join("snap"))?;
-            let mut ops = 0u64;
-            let mut from_idx = rec.first_idx;
-            if let Some((snap_seq, payload)) = snaps.load_latest()? {
-                let snap: ShardSnapshot = decode_json(&payload, &origin)?;
-                prior_state = true;
-                trackers = Trackers::import(cfg.mode, vec![(TENANT, snap.tracker)]);
-                // Restored alerts lost their raise instant with the process
-                // that raised them: no drain-delay attribution.
-                *lock(&h.outbox) = snap
-                    .outbox
-                    .into_iter()
-                    .map(|(seq, alert)| OutboxAlert {
-                        seq,
-                        tenant: TENANT,
-                        raised_at: None,
-                        alert,
-                    })
-                    .collect();
-                *lock(&h.feedback) = snap.feedback.into_iter().map(|k| (TENANT, k)).collect();
-                next_seq = next_seq.max(snap.next_seq);
-                recovered_epoch = recovered_epoch.max(snap.epoch);
-                ops = snap.ops;
-                from_idx = snap_seq;
-            }
-            // Decode the durable suffix and drop revoked pairs. A `Revoke`
-            // always directly follows the entry it cancels and never
-            // straddles a snapshot cut (both are appended in one submission,
-            // snapshots only between submissions), so a simple pop suffices.
-            let mut effective: Vec<Op> = Vec::new();
-            for (off, payload) in rec.entries.iter().enumerate() {
-                if rec.first_idx + (off as u64) < from_idx {
-                    continue;
-                }
-                match decode_json::<DurableEntry>(payload, &origin)? {
-                    DurableEntry::Revoke => {
-                        effective.pop();
-                    }
-                    DurableEntry::Record { seq, record, .. } => {
-                        effective.push(Op::Record(Arc::new(record), seq))
-                    }
-                    DurableEntry::Close { session_id, .. } => effective.push(Op::Close(session_id)),
-                    DurableEntry::FalseAlarm { session_id, .. } => {
-                        effective.push(Op::FalseAlarm(session_id))
-                    }
-                }
-            }
-            prior_state |= !effective.is_empty();
-            // Replay the suffix into the tracker, alerts and all.
-            for op in effective {
-                if let Op::Record(_, seq) = op {
-                    next_seq = next_seq.max(seq + 1);
-                }
-                ops += 1;
-                replayed_records.inc();
-                total_replayed += 1;
-                let op = RoutedOp {
-                    route: Arc::clone(&recovery_route),
-                    op,
-                };
-                h.apply(&mut trackers, &op, true, 0, None);
-            }
-            // The rebuilt state becomes the supervision base (the ring
-            // restarts empty) and refeeds the degraded-mode shadows, so
-            // every post-recovery path has context.
-            let states = trackers.export();
-            if let Some(dstate) = degrade.as_mut() {
-                for s in states.iter().flat_map(|(_, state)| &state.sessions) {
-                    dstate.sessions.insert(
-                        s.session.id,
-                        DegradeShadow {
-                            keys: s.keys.clone(),
-                            alerted: s.alerted,
-                        },
-                    );
-                }
-            }
-            h.rebase(states);
-            shard_durables.push(ShardDurable {
-                wal,
-                snaps,
-                ops,
-                last_snap: from_idx,
-            });
-            Ok(trackers)
+        let core = ShardCore::build(&cfg, &registry, &flight, series, |h| match &mut durable {
+            Some(d) => d.recover_shard(h, &system),
+            None => Ok(Trackers::new(cfg.mode)),
         })?;
-        let durable = durability.map(|dcfg| DurableState {
-            cfg: dcfg,
-            meta: meta.expect("meta log opened whenever durability is configured"),
-            shards: shard_durables,
-            delivered,
-            appends_since_snapshot: 0,
-        });
-        epoch_gauge.set(recovered_epoch as f64);
-        if prior_state {
-            recoveries.inc();
-            ucad_obs::event(
-                "serve.recovery",
-                &[
-                    ("replayed", total_replayed.to_string()),
-                    ("epoch", recovered_epoch.to_string()),
-                    ("next_seq", next_seq.to_string()),
-                ],
-            );
-        }
+        let (next_seq, epoch) = durable
+            .as_ref()
+            .map_or((0, 0), DurableState::finish_recovery);
+        epoch_gauge.set(epoch as f64);
         Ok(ShardedOnlineUcad {
             route: Route::new(TENANT, system, cache, observer, None, None),
             core,
@@ -891,7 +500,7 @@ impl ShardedOnlineUcad {
             drain_delay_latency,
             cfg,
             next_seq,
-            epoch: recovered_epoch,
+            epoch,
             durable,
         })
     }
@@ -957,18 +566,12 @@ impl ShardedOnlineUcad {
         }
         self.next_seq = seq + 1;
         let i = self.shard_of(record.session_id);
+        let op = Op::Record(Arc::new(record.clone()), seq);
         // Durability first: append-before-send. If the append errors the
-        // record is dropped whole (no shadow feed, no ring entry).
-        let wal_timer = self.durable.is_some().then(Instant::now);
-        self.append_durable(
-            i,
-            &DurableEntry::Record {
-                seq,
-                epoch: self.epoch,
-                record: record.clone(),
-            },
-        )?;
-        if let Some(t) = wal_timer {
+        // record is dropped whole (no ring entry).
+        if let Some(d) = self.durable.as_mut() {
+            let t = Instant::now();
+            d.append(i, &op, self.epoch)?;
             self.wal_append_latency.observe(t.elapsed().as_secs_f64());
         }
         if let Some(state) = self.degrade.as_mut() {
@@ -982,13 +585,14 @@ impl ShardedOnlineUcad {
                 .keys
                 .push(key);
         }
-        let op = Op::Record(Arc::new(record.clone()), seq);
         if self.submit(i, op, self.cfg.overload) {
             return Ok(SubmitOutcome::Accepted);
         }
         // Saturated: the record reached no shard. The durable entry cannot
-        // pop; a paired Revoke marker cancels it for recovery replay.
-        self.revoke_durable(i);
+        // pop; a paired revoke marker cancels it for recovery replay.
+        if let Some(d) = self.durable.as_mut() {
+            d.revoke(i);
+        }
         Ok(match self.cfg.overload {
             OverloadPolicy::ShedNewest => {
                 self.records_shed.inc();
@@ -1002,38 +606,6 @@ impl ShardedOnlineUcad {
     fn submit(&self, i: usize, op: Op, overload: OverloadPolicy) -> bool {
         let route = Arc::clone(&self.route);
         self.core.submit(i, RoutedOp { route, op }, overload)
-    }
-
-    /// Appends one entry to shard `i`'s durable log (a no-op for in-memory
-    /// engines), maintaining the effective-operation count and the
-    /// automatic-snapshot cadence.
-    fn append_durable(&mut self, i: usize, entry: &DurableEntry) -> Result<(), UcadError> {
-        let Some(d) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        d.shards[i].wal.append(&encode_json(entry))?;
-        d.shards[i].ops += 1;
-        d.appends_since_snapshot += 1;
-        Ok(())
-    }
-
-    /// Cancels the just-appended durable entry of shard `i` after its send
-    /// was refused (shed or degraded record). The on-disk log cannot pop,
-    /// so a paired [`DurableEntry::Revoke`] is appended; replay drops the
-    /// pair. If even the Revoke append fails (injected I/O faults only),
-    /// the record stays durable and a later recovery would score a record
-    /// the live run refused — surfaced as an event, never a panic.
-    fn revoke_durable(&mut self, i: usize) {
-        let Some(d) = self.durable.as_mut() else {
-            return;
-        };
-        match d.shards[i].wal.append(&encode_json(&DurableEntry::Revoke)) {
-            Ok(_) => d.shards[i].ops = d.shards[i].ops.saturating_sub(1),
-            Err(e) => ucad_obs::event(
-                "serve.wal_revoke_failed",
-                &[("shard", i.to_string()), ("error", e.to_string())],
-            ),
-        }
     }
 
     /// Scores a saturated-out record with the n-gram fallback, booking a
@@ -1106,15 +678,12 @@ impl ShardedOnlineUcad {
             state.sessions.remove(&session_id);
         }
         let i = self.shard_of(session_id);
-        let epoch = self.epoch;
-        let (op, entry) = if close {
-            let entry = DurableEntry::Close { session_id, epoch };
-            (Op::Close(session_id), entry)
+        let op = if close {
+            Op::Close(session_id)
         } else {
-            let entry = DurableEntry::FalseAlarm { session_id, epoch };
-            (Op::FalseAlarm(session_id), entry)
+            Op::FalseAlarm(session_id)
         };
-        if let Err(e) = self.append_durable(i, &entry) {
+        if let Some(Err(e)) = self.durable.as_mut().map(|d| d.append(i, &op, self.epoch)) {
             // The in-memory path still applies the control, so the live run
             // stays correct; a later recovery may miss this close and
             // re-raise its alert — the drain-side delivered filter absorbs
@@ -1190,8 +759,7 @@ impl ShardedOnlineUcad {
         self.epoch_gauge.set(self.epoch as f64);
         ucad_obs::event("serve.model_swap", &[("epoch", self.epoch.to_string())]);
         if let Some(d) = self.durable.as_mut() {
-            d.meta
-                .append(&encode_json(&MetaEntry::Epoch { epoch: self.epoch }))?;
+            d.record_epoch(self.epoch)?;
             // Snapshot at the cut: every durable entry behind it is folded
             // into state, so recovery — which only has the *current* model
             // to replay with — never rescores an old-epoch entry.
@@ -1206,63 +774,11 @@ impl ShardedOnlineUcad {
     /// base advances. Bounds both recovery replay length and disk usage.
     /// No-op for in-memory engines.
     pub fn snapshot(&mut self) -> Result<(), UcadError> {
-        if self.durable.is_none() {
+        let Some(d) = self.durable.as_mut() else {
             return Ok(());
-        }
-        self.flush();
-        for i in 0..self.cfg.shards {
-            self.snapshot_shard(i)?;
-        }
-        if let Some(d) = self.durable.as_mut() {
-            d.appends_since_snapshot = 0;
-        }
-        Ok(())
-    }
-
-    fn snapshot_shard(&mut self, i: usize) -> Result<(), UcadError> {
-        let states = self.core.export(i);
-        let tracker = states
-            .iter()
-            .find(|(tenant, _)| *tenant == TENANT)
-            .map(|(_, state)| state.clone())
-            .unwrap_or_default();
-        let h = self.core.handles(i);
-        let sd = &mut self
-            .durable
-            .as_mut()
-            .expect("snapshot_shard requires durability")
-            .shards[i];
-        // Everything the snapshot claims to cover must be on disk first.
-        sd.wal.sync()?;
-        let wal_idx = sd.wal.next_idx();
-        let snap = ShardSnapshot {
-            wal_idx,
-            epoch: self.epoch,
-            next_seq: self.next_seq,
-            ops: sd.ops,
-            tracker,
-            // Raise instants are process-local; the durable format keeps
-            // only (seq, alert).
-            outbox: lock(&h.outbox)
-                .iter()
-                .map(|a| (a.seq, a.alert.clone()))
-                .collect(),
-            feedback: lock(&h.feedback).iter().map(|(_, k)| k.clone()).collect(),
         };
-        sd.snaps.save(wal_idx, &encode_json(&snap))?;
-        // Segments wholly below the *previous* retained snapshot are
-        // unreachable even if the one just written turns out damaged (the
-        // store keeps two; recovery falls back to the older).
-        sd.wal.truncate_below(sd.last_snap);
-        sd.last_snap = wal_idx;
-        // Advance the supervision base: ring entries below the flush
-        // watermark are folded into the exported state and can be pruned.
-        h.rebase(states);
-        ucad_obs::event(
-            "serve.snapshot",
-            &[("shard", i.to_string()), ("wal_idx", wal_idx.to_string())],
-        );
-        Ok(())
+        self.core.flush();
+        d.snapshot(&self.core, self.epoch, self.next_seq)
     }
 
     /// The model epoch currently serving: 0 until the first
@@ -1289,9 +805,7 @@ impl ShardedOnlineUcad {
     /// skip, per shard, exactly this many of the shard's operations: what
     /// remains is the crash-free continuation.
     pub fn durable_ops_per_shard(&self) -> Option<Vec<u64>> {
-        self.durable
-            .as_ref()
-            .map(|d| d.shards.iter().map(|s| s.ops).collect())
+        self.durable.as_ref().map(DurableState::ops_per_shard)
     }
 
     /// Drops the engine the way a process crash would: no shutdown
@@ -1362,28 +876,10 @@ impl ShardedOnlineUcad {
             }
         }
         self.flight.annotate_drain_delays(&delays);
-        let mut want_snapshot = false;
-        if let Some(d) = self.durable.as_mut() {
-            tagged.retain(|a| !d.delivered.contains(&a.seq));
-            if !tagged.is_empty() {
-                let newly: Vec<u64> = tagged.iter().map(|a| a.seq).collect();
-                let marker = MetaEntry::Drain {
-                    next_seq: self.next_seq,
-                    delivered: newly.clone(),
-                };
-                match d.meta.append(&encode_json(&marker)) {
-                    Ok(_) => d.delivered.extend(newly),
-                    // Marker lost: these alerts stay unrecorded and a crash
-                    // re-delivers them — at-least-once, never silently lost.
-                    Err(e) => ucad_obs::event(
-                        "serve.wal_drain_marker_failed",
-                        &[("error", e.to_string())],
-                    ),
-                }
-            }
-            want_snapshot =
-                d.cfg.snapshot_every > 0 && d.appends_since_snapshot >= d.cfg.snapshot_every;
-        }
+        let want_snapshot = match self.durable.as_mut() {
+            Some(d) => d.deliver(&mut tagged, self.next_seq),
+            None => false,
+        };
         if want_snapshot {
             if let Err(e) = self.snapshot() {
                 ucad_obs::event("serve.snapshot_failed", &[("error", e.to_string())]);
@@ -1447,9 +943,7 @@ impl ShardedOnlineUcad {
         // Graceful exit: force the batched per-shard log tails to disk so a
         // restart from this directory replays everything.
         if let Some(d) = self.durable.as_mut() {
-            for sd in &mut d.shards {
-                let _ = sd.wal.sync();
-            }
+            d.sync_shards();
         }
         let verified_normals = self.core.take_feedback(None);
         let worker_panics = self.core.shutdown();
@@ -1474,6 +968,7 @@ impl ShardedOnlineUcad {
 mod tests {
     use super::*;
     use crate::admission::splitmix64;
+    use std::path::PathBuf;
     use ucad_baselines::BaselineDetector;
 
     #[test]
@@ -1580,13 +1075,14 @@ mod tests {
     fn resubmit_below_the_watermark_is_acked_without_reprocessing() {
         let system = tiny_system(11);
         let records = records_of(&system, 12, 2);
-        let mut engine = ShardedOnlineUcad::new(
+        let mut engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 2,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         assert_eq!(engine.seq_watermark(), 0);
         assert_eq!(
             engine.try_submit_at(&records[0], 4),
@@ -1616,13 +1112,14 @@ mod tests {
     #[test]
     fn shutdown_reports_worker_panics_instead_of_propagating() {
         let system = tiny_system(9);
-        let engine = ShardedOnlineUcad::new(
+        let engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 2,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         engine.inject_worker_panic(0);
         let metrics_before = engine.render_metrics();
         assert!(metrics_before.contains("ucad_serve_worker_panics_total 0"));
@@ -1641,14 +1138,15 @@ mod tests {
     fn dead_shard_is_healed_and_keeps_accepting_without_deadlock() {
         let system = tiny_system(17);
         let records = records_of(&system, 18, 6);
-        let mut engine = ShardedOnlineUcad::new(
+        let mut engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 1,
                 queue_capacity: 4,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         let mid = records.len() / 2;
         for r in &records[..mid] {
             assert_eq!(engine.try_submit(r), Ok(SubmitOutcome::Accepted));
@@ -1672,14 +1170,15 @@ mod tests {
     fn shed_policy_drops_under_forced_saturation_and_reconciles() {
         let system = tiny_system(21);
         let records = records_of(&system, 22, 3);
-        let mut engine = ShardedOnlineUcad::new(
+        let mut engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 1,
                 overload: OverloadPolicy::ShedNewest,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         // Force saturation on submissions 2 and 3 (0-based) of shard 0.
         let _armed = ucad_fault::FaultPlan::new().saturate(2, 4, Some(0)).arm();
         let mut shed = 0u64;
@@ -1713,7 +1212,21 @@ mod tests {
         .is_err());
         let mut lm = NgramLm::new(3, 4);
         lm.fit(&[vec![1, 2, 3]], system.model.cfg.vocab_size);
-        assert!(ShardedOnlineUcad::try_new_full(system, cfg, None, Some(lm)).is_ok());
+        assert!(ShardedOnlineUcad::try_new_full(system.clone(), cfg, None, Some(lm)).is_ok());
+        // A durable engine refuses Degrade outright (its degraded alerts
+        // would not survive a crash), before touching the directory.
+        let dir = tmp_dir("durable-degrade");
+        match ShardedOnlineUcad::recover(system, cfg, DurabilityConfig::new(&dir)) {
+            Err(UcadError::InvalidConfig {
+                field: "overload", ..
+            }) => {}
+            Err(other) => panic!("wrong error for durable Degrade: {other}"),
+            Ok(_) => panic!("durable Degrade must be refused"),
+        }
+        assert!(
+            !dir.exists(),
+            "a refused engine must not create its directory"
+        );
     }
 
     #[test]
@@ -1721,13 +1234,14 @@ mod tests {
         let system = tiny_system(11);
         let mut bad_cfg = system.model.cfg;
         bad_cfg.vocab_size += 3;
-        let mut engine = ShardedOnlineUcad::new(
+        let mut engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 3,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         assert_eq!(engine.model_epoch(), 0);
         let err = engine
             .swap_model(TransDas::new(bad_cfg))
@@ -1774,13 +1288,14 @@ mod tests {
                 })
             })
             .collect();
-        let mut engine = ShardedOnlineUcad::new(
+        let mut engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 1,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         // The sessions stay open, so their ring entries outlive the swap.
         for r in &records {
             assert_eq!(engine.try_submit(r), Ok(SubmitOutcome::Accepted));
@@ -1803,13 +1318,14 @@ mod tests {
         use ucad_trace::{ScenarioSpec, SessionGenerator};
 
         let system = tiny_system(13);
-        let mut engine = ShardedOnlineUcad::new(
+        let mut engine = ShardedOnlineUcad::try_new(
             system,
             ServeConfig {
                 shards: 2,
                 ..ServeConfig::default()
             },
-        );
+        )
+        .expect("valid serve config");
         let mut gen = SessionGenerator::new(ScenarioSpec::commenting());
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
         let mut submitted = 0;
@@ -1893,7 +1409,8 @@ mod tests {
         };
 
         // Crash-free baseline: plain in-memory engine, identical config.
-        let mut baseline = ShardedOnlineUcad::new(system.clone(), cfg);
+        let mut baseline =
+            ShardedOnlineUcad::try_new(system.clone(), cfg).expect("valid serve config");
         for r in &records {
             assert_eq!(baseline.try_submit(r), Ok(SubmitOutcome::Accepted));
         }
@@ -1906,14 +1423,9 @@ mod tests {
 
         // Durable run: snapshot a third in, "crash" (abandon skips the
         // shutdown handshake entirely) two thirds in.
-        let mut engine = ShardedOnlineUcad::try_new_durable(
-            system.clone(),
-            cfg,
-            None,
-            None,
-            DurabilityConfig::new(&dir),
-        )
-        .expect("fresh durable engine");
+        let mut engine =
+            ShardedOnlineUcad::recover(system.clone(), cfg, DurabilityConfig::new(&dir))
+                .expect("fresh durable engine");
         let cut = 2 * records.len() / 3;
         for (i, r) in records[..cut].iter().enumerate() {
             assert_eq!(engine.try_submit(r), Ok(SubmitOutcome::Accepted));
@@ -1979,14 +1491,9 @@ mod tests {
             "the two injected anomalies must hit different sessions"
         );
 
-        let mut engine = ShardedOnlineUcad::try_new_durable(
-            system.clone(),
-            cfg,
-            None,
-            None,
-            DurabilityConfig::new(&dir),
-        )
-        .expect("fresh durable engine");
+        let mut engine =
+            ShardedOnlineUcad::recover(system.clone(), cfg, DurabilityConfig::new(&dir))
+                .expect("fresh durable engine");
         for r in &records[..cut] {
             assert_eq!(engine.try_submit(r), Ok(SubmitOutcome::Accepted));
         }
@@ -2029,14 +1536,12 @@ mod tests {
     fn recover_rejects_mismatched_routing() {
         let dir = tmp_dir("mismatch");
         let system = tiny_system(41);
-        let engine = ShardedOnlineUcad::try_new_durable(
+        let engine = ShardedOnlineUcad::recover(
             system.clone(),
             ServeConfig {
                 shards: 2,
                 ..ServeConfig::default()
             },
-            None,
-            None,
             DurabilityConfig::new(&dir),
         )
         .expect("fresh durable engine");

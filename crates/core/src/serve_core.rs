@@ -1,6 +1,6 @@
 //! The model-free shard worker core both serving fronts run on.
 //!
-//! [`crate::ShardedOnlineUcad`] (one model, durability, `Degrade`, hot
+//! [`crate::ShardedOnlineUcad`] (one model, durability or `Degrade`, hot
 //! swap) and `ucad-tenant`'s `TenantShardPool` (many tenants behind one
 //! registry) are two fronts over this one engine. The core owns the shard
 //! workers, their bounded queues, the per-shard outboxes and feedback
@@ -434,7 +434,7 @@ struct Shard {
 }
 
 fn spawn_worker(h: ShardHandles, queue_capacity: usize, trackers: Trackers) -> ShardLink {
-    let (tx, rx) = sync_channel(queue_capacity.max(1));
+    let (tx, rx) = sync_channel(queue_capacity);
     let handle = std::thread::spawn(move || worker(rx, h, trackers));
     ShardLink {
         tx,

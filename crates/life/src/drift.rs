@@ -205,7 +205,7 @@ struct State {
 }
 
 /// Sliding-window drift detector; implements [`ServeObserver`] so it plugs
-/// straight into [`ucad::ShardedOnlineUcad::try_new_observed`].
+/// straight into [`ucad::ShardedOnlineUcad::try_new_full`]'s observer slot.
 pub struct DriftMonitor {
     cfg: DriftConfig,
     baseline: DriftBaseline,

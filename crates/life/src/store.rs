@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use ucad_model::{TransDas, UcadError};
 use ucad_wal::envelope;
-use ucad_wal::{fnv1a64, retry_io};
+use ucad_wal::{fnv1a64, retry_io, write_atomic};
 
 /// The envelope magic [`CheckpointStore::save`] writes: a binary payload.
 const MAGIC: &[u8; 8] = b"UCADCKP2";
@@ -190,10 +190,7 @@ impl CheckpointStore {
 
         let final_path = self.path_of(&id);
         let tmp_path = self.dir.join(format!(".tmp-{id}"));
-        retry_io(|| ucad_fault::fs_write(&tmp_path, &bytes))
-            .map_err(|e| UcadError::io(tmp_path.display().to_string(), &e))?;
-        retry_io(|| ucad_fault::fs_rename(&tmp_path, &final_path))
-            .map_err(|e| UcadError::io(final_path.display().to_string(), &e))?;
+        write_atomic(&tmp_path, &final_path, &bytes)?;
 
         self.manifest.entries.push(ManifestEntry {
             id: id.clone(),
@@ -226,11 +223,7 @@ impl CheckpointStore {
         let tmp = self.dir.join(".tmp-manifest");
         let text =
             serde_json::to_string(&self.manifest).expect("manifest serialization cannot fail");
-        retry_io(|| ucad_fault::fs_write(&tmp, text.as_bytes()))
-            .map_err(|e| UcadError::io(tmp.display().to_string(), &e))?;
-        retry_io(|| ucad_fault::fs_rename(&tmp, &path))
-            .map_err(|e| UcadError::io(path.display().to_string(), &e))?;
-        Ok(())
+        write_atomic(&tmp, &path, text.as_bytes())
     }
 
     /// Loads and fully validates a version. Every failure mode — missing

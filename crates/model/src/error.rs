@@ -20,16 +20,17 @@ pub enum UcadError {
     },
     /// A persisted model snapshot could not be restored.
     Snapshot(String),
-    /// A checkpoint file is structurally damaged (truncated, bit-flipped,
-    /// or not a checkpoint at all). Loading never panics on damage — it
-    /// returns this variant with the failed integrity check spelled out.
+    /// A persisted artifact (checkpoint, tenant profile, shard log or
+    /// snapshot) is structurally damaged: truncated, bit-flipped, or not
+    /// that artifact at all. Loading never panics on damage — it returns
+    /// this variant with the failed integrity check spelled out.
     Corrupt {
         /// The damaged file (or a description of the byte source).
         path: String,
         /// Which integrity check failed.
         reason: String,
     },
-    /// An I/O operation on the checkpoint store failed.
+    /// An I/O operation on a persisted artifact failed.
     Io {
         /// The file or directory the operation targeted.
         path: String,
@@ -100,10 +101,9 @@ impl std::fmt::Display for UcadError {
                 write!(f, "invalid configuration: {field}: {reason}")
             }
             UcadError::Snapshot(m) => write!(f, "snapshot error: {m}"),
-            UcadError::Corrupt { path, reason } => {
-                write!(f, "corrupt checkpoint {path}: {reason}")
-            }
-            UcadError::Io { path, reason } => write!(f, "checkpoint io {path}: {reason}"),
+            // The path names the artifact; the message does not guess its kind.
+            UcadError::Corrupt { path, reason } => write!(f, "corrupt {path}: {reason}"),
+            UcadError::Io { path, reason } => write!(f, "io error {path}: {reason}"),
             UcadError::Net { context, reason } => write!(f, "net error: {context}: {reason}"),
             UcadError::Protocol { reason } => write!(f, "protocol violation: {reason}"),
         }
@@ -129,6 +129,25 @@ mod tests {
             e.to_string(),
             "invalid configuration: heads: must divide hidden"
         );
+    }
+
+    #[test]
+    fn corrupt_and_io_display_name_the_artifact_by_its_path() {
+        let e = UcadError::corrupt("/data/tenant-01/profile.json", "profile decode failed");
+        assert_eq!(
+            e.to_string(),
+            "corrupt /data/tenant-01/profile.json: profile decode failed"
+        );
+        let e = UcadError::corrupt("/data/shard-0", "durable record is not UTF-8");
+        assert_eq!(
+            e.to_string(),
+            "corrupt /data/shard-0: durable record is not UTF-8"
+        );
+        let e = UcadError::Io {
+            path: "/data/shard-0/wal".into(),
+            reason: "disk full".into(),
+        };
+        assert_eq!(e.to_string(), "io error /data/shard-0/wal: disk full");
     }
 
     #[test]

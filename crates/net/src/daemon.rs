@@ -29,8 +29,8 @@
 //! shutdown never waits on an idle socket.
 //!
 //! With [`NetServeConfig::durability`] set, the daemon builds its engine
-//! via [`ShardedOnlineUcad::try_new_durable`]: on a fresh directory that
-//! is a durable engine, on an existing one it is crash *recovery* — the
+//! via [`ShardedOnlineUcad::recover`]: on a fresh directory that is a
+//! durable engine, on an existing one it is crash *recovery* — the
 //! restarted daemon resumes at its persisted arrival-sequence watermark,
 //! which is what lets a router replay unacknowledged submits idempotently
 //! (`ucad_net_resubmitted_total` counts the dup-acks).
@@ -48,8 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use ucad::{
-    Alert, DurabilityConfig, NgramLm, ServeConfig, ServeObserver, ShardedOnlineUcad,
-    ShutdownReport, Ucad,
+    Alert, DurabilityConfig, NgramLm, ServeConfig, ShardedOnlineUcad, ShutdownReport, Ucad,
 };
 use ucad_fault::{NetReplyFate, NetRequestFate};
 use ucad_model::UcadError;
@@ -68,7 +67,7 @@ pub struct NetServeConfig {
     pub addr: String,
     /// Configuration of the engine behind the socket.
     pub serve: ServeConfig,
-    /// When set, the engine is built with [`ShardedOnlineUcad::try_new_durable`]:
+    /// When set, the engine is built with [`ShardedOnlineUcad::recover`]:
     /// WAL + snapshots under `durability.dir`, and crash recovery (including
     /// the arrival-sequence watermark) when the directory already has state.
     pub durability: Option<DurabilityConfig>,
@@ -149,10 +148,9 @@ impl NetServeConfigBuilder {
     }
 
     /// Validates and returns the configuration: the address must resolve to
-    /// a socket address, the engine configuration must be structurally
-    /// valid (the same checks [`ServeConfig::builder`] enforces), and all
-    /// deadlines must be nonzero (a zero deadline would reap every
-    /// connection on its first tick).
+    /// a socket address, the engine configuration must pass the engine's
+    /// own [`ServeConfig::validate`], and all deadlines must be nonzero (a
+    /// zero deadline would reap every connection on its first tick).
     pub fn build(self) -> Result<NetServeConfig, UcadError> {
         if self.cfg.addr.is_empty() {
             return Err(UcadError::invalid("addr", "listen address is empty"));
@@ -161,15 +159,7 @@ impl NetServeConfigBuilder {
             .addr
             .to_socket_addrs()
             .map_err(|e| UcadError::net(format!("resolve {}", self.cfg.addr), e.to_string()))?;
-        if self.cfg.serve.shards == 0 {
-            return Err(UcadError::invalid("shards", "at least one shard required"));
-        }
-        if self.cfg.serve.queue_capacity == 0 {
-            return Err(UcadError::invalid(
-                "queue_capacity",
-                "a zero-capacity queue would deadlock submission",
-            ));
-        }
+        self.cfg.serve.validate()?;
         if self.cfg.read_timeout.is_zero()
             || self.cfg.write_timeout.is_zero()
             || self.cfg.idle_timeout.is_zero()
@@ -281,23 +271,22 @@ impl NetDaemon {
     /// Binds the listener and constructs the engine — durable (recovering
     /// any existing state) when [`NetServeConfig::durability`] is set.
     pub fn bind(system: Ucad, cfg: NetServeConfig) -> Result<Self, UcadError> {
-        Self::bind_full(system, cfg, None, None)
+        Self::bind_full(system, cfg, None)
     }
 
-    /// [`NetDaemon::bind`] with an observer and/or the degraded-mode
-    /// fallback model, mirroring [`ShardedOnlineUcad::try_new_full`].
+    /// [`NetDaemon::bind`] with the degraded-mode fallback model that
+    /// [`OverloadPolicy::Degrade`](ucad::OverloadPolicy::Degrade) requires.
+    /// A durable daemon refuses `Degrade` (see
+    /// [`ShardedOnlineUcad::recover`]).
     pub fn bind_full(
         system: Ucad,
         cfg: NetServeConfig,
-        observer: Option<Arc<dyn ServeObserver>>,
         fallback: Option<NgramLm>,
     ) -> Result<Self, UcadError> {
         let shards = cfg.serve.shards;
         let engine = match cfg.durability.clone() {
-            Some(durability) => ShardedOnlineUcad::try_new_durable(
-                system, cfg.serve, observer, fallback, durability,
-            )?,
-            None => ShardedOnlineUcad::try_new_full(system, cfg.serve, observer, fallback)?,
+            Some(durability) => ShardedOnlineUcad::recover(system, cfg.serve, durability)?,
+            None => ShardedOnlineUcad::try_new_full(system, cfg.serve, None, fallback)?,
         };
         let metrics = NetMetrics::register(engine.registry());
         let listener = TcpListener::bind(&cfg.addr)

@@ -169,7 +169,8 @@ fn conn_resets_heal_via_router_failover_byte_identically() {
     // Unfaulted in-process reference (the armed plan carries only net
     // faults, which in-process serving never consults).
     let armed = ucad_fault::FaultPlan::new().conn_reset_every(6).arm();
-    let mut reference = ShardedOnlineUcad::new(system(), serve_cfg());
+    let mut reference =
+        ShardedOnlineUcad::try_new(system(), serve_cfg()).expect("valid serve config");
     for r in &stream {
         assert_eq!(reference.try_submit(r), Ok(SubmitOutcome::Accepted));
     }

@@ -10,8 +10,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use ucad::{
-    Admission, OverloadPolicy, ServeConfig, ShardedOnlineUcad, SubmitOutcome, Ucad, UcadConfig,
+    Admission, DurabilityConfig, NgramLm, OverloadPolicy, ServeConfig, ShardedOnlineUcad,
+    SubmitOutcome, Ucad, UcadConfig, UcadError,
 };
+use ucad_baselines::BaselineDetector;
 use ucad_dbsim::LogRecord;
 use ucad_model::TransDasConfig;
 use ucad_net::protocol::{
@@ -114,7 +116,8 @@ fn daemon_matches_in_process_engine_alert_for_alert() {
     let (stream, ids) = script();
 
     // In-process reference.
-    let mut reference = ShardedOnlineUcad::new(system(), serve_cfg());
+    let mut reference =
+        ShardedOnlineUcad::try_new(system(), serve_cfg()).expect("valid serve config");
     for r in &stream {
         assert_eq!(reference.try_submit(r), Ok(SubmitOutcome::Accepted));
     }
@@ -333,6 +336,35 @@ fn resubmit_below_the_watermark_is_acked_without_reprocessing() {
         "both dup-acks counted: {metrics}"
     );
     client.shutdown_daemon().expect("shutdown");
+}
+
+/// A durable daemon refuses `Degrade` even with a fitted fallback: a
+/// degraded alert lives only in memory, so a crash would lose it.
+#[test]
+fn durable_daemon_refuses_the_degrade_policy() {
+    let dir = std::env::temp_dir().join(format!("ucad-net-durable-degrade-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = NetServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .serve(ServeConfig {
+            overload: OverloadPolicy::Degrade,
+            ..serve_cfg()
+        })
+        .durability(DurabilityConfig::new(&dir))
+        .build()
+        .expect("valid net config");
+    let system = system();
+    let mut lm = NgramLm::new(3, 4);
+    lm.fit(&[vec![1, 2, 3]], system.model.cfg.vocab_size);
+    assert!(lm.is_fitted());
+    match NetDaemon::bind_full(system, cfg, Some(lm)) {
+        Err(UcadError::InvalidConfig {
+            field: "overload", ..
+        }) => {}
+        Err(other) => panic!("wrong error for a durable Degrade daemon: {other}"),
+        Ok(_) => panic!("a durable daemon must refuse Degrade"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -38,7 +38,7 @@ use ucad_life::CheckpointStore;
 use ucad_model::{DetectorConfig, ScoreCache, UcadError};
 use ucad_obs::{Counter, Gauge, Registry};
 use ucad_preprocess::Preprocessor;
-use ucad_wal::retry_io;
+use ucad_wal::{retry_io, write_atomic};
 
 /// Checkpoint versions retained per tenant (current + one fallback).
 const CHECKPOINT_RETENTION: usize = 2;
@@ -246,10 +246,7 @@ impl TenantRegistry {
         // tmp + rename so a crash mid-write never leaves a torn profile.
         let path = self.profile_path(tenant);
         let tmp = tdir.join("profile.json.tmp");
-        retry_io(|| ucad_fault::fs_write(&tmp, text.as_bytes()))
-            .map_err(|e| UcadError::io(tmp.display().to_string(), &e))?;
-        retry_io(|| ucad_fault::fs_rename(&tmp, &path))
-            .map_err(|e| UcadError::io(path.display().to_string(), &e))?;
+        write_atomic(&tmp, &path, text.as_bytes())?;
         let mut store = CheckpointStore::open(self.checkpoints_dir(tenant), CHECKPOINT_RETENTION)?;
         store.save(&system.model)?;
         Ok(())

@@ -42,6 +42,8 @@ mod wal;
 pub use snapshot::SnapshotStore;
 pub use wal::{SegmentedWal, WalOptions, WalRecovery};
 
+use std::path::Path;
+use ucad_model::UcadError;
 use ucad_obs::Counter;
 
 /// Maximum retries after a failed fs operation (so up to `IO_RETRIES + 1`
@@ -67,6 +69,17 @@ pub fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Resul
             }
         }
     }
+}
+
+/// Commits `bytes` to `path` atomically — write `tmp` (same filesystem),
+/// then rename it over `path`, both through [`retry_io`] and the
+/// `ucad-fault` fs hooks — so a process crash never leaves a torn `path`.
+/// Nothing is fsynced.
+pub fn write_atomic(tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), UcadError> {
+    retry_io(|| ucad_fault::fs_write(tmp, bytes))
+        .map_err(|e| UcadError::io(tmp.display().to_string(), &e))?;
+    retry_io(|| ucad_fault::fs_rename(tmp, path))
+        .map_err(|e| UcadError::io(path.display().to_string(), &e))
 }
 
 /// FNV-1a 64-bit — the content hash behind checkpoint version identifiers

@@ -10,7 +10,7 @@
 //! store with no intact snapshot is simply empty, never a panic.
 
 use crate::envelope;
-use crate::retry_io;
+use crate::{retry_io, write_atomic};
 use std::path::PathBuf;
 use ucad_model::UcadError;
 
@@ -66,15 +66,12 @@ impl SnapshotStore {
     }
 
     /// Atomically commits a snapshot covering the log up to `seq`
-    /// (exclusive), then drops all but the newest [`KEEP`] snapshots.
+    /// (exclusive), then drops all but the newest `KEEP` snapshots.
     pub fn save(&self, seq: u64, payload: &[u8]) -> Result<(), UcadError> {
         let bytes = envelope::encode(MAGIC, payload);
         let final_path = self.path_of(seq);
         let tmp = self.dir.join(format!(".tmp-{seq:016x}"));
-        retry_io(|| ucad_fault::fs_write(&tmp, &bytes))
-            .map_err(|e| UcadError::io(tmp.display().to_string(), &e))?;
-        retry_io(|| ucad_fault::fs_rename(&tmp, &final_path))
-            .map_err(|e| UcadError::io(final_path.display().to_string(), &e))?;
+        write_atomic(&tmp, &final_path, &bytes)?;
         let seqs = self.list()?;
         for &old in seqs.iter().rev().skip(KEEP) {
             let _ = std::fs::remove_file(self.path_of(old));

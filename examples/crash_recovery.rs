@@ -210,7 +210,7 @@ fn main() {
 
     // Reference: the same script through a plain in-memory engine, no
     // crashes, one process. The drained alert stream must be identical.
-    let mut engine = ShardedOnlineUcad::new(system(), serve_cfg());
+    let mut engine = ShardedOnlineUcad::try_new(system(), serve_cfg()).expect("engine");
     let (stream, ids) = script();
     for record in &stream {
         assert_eq!(engine.try_submit(record), Ok(SubmitOutcome::Accepted));

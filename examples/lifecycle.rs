@@ -132,10 +132,11 @@ fn main() {
         cache_capacity: 256,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::try_new_observed(
+    let mut engine = ShardedOnlineUcad::try_new_full(
         system,
         serve_cfg,
         Some(Arc::clone(&monitor) as Arc<dyn ServeObserver>),
+        None,
     )
     .expect("engine");
     monitor.register_metrics(engine.registry(), &[]);

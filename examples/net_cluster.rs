@@ -168,7 +168,7 @@ fn main() {
 
     // The single-process reference: the whole stream through one engine.
     println!("training the in-process reference engine…");
-    let mut reference = ShardedOnlineUcad::new(system(), serve_cfg());
+    let mut reference = ShardedOnlineUcad::try_new(system(), serve_cfg()).expect("engine");
     for r in &stream {
         reference.try_submit(r).expect("reference submit");
     }

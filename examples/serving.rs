@@ -203,8 +203,7 @@ fn main() {
             .serve(serve_cfg)
             .build()
             .expect("valid net serve configuration");
-        let daemon =
-            NetDaemon::bind_full(system, net_cfg, None, fallback).expect("bind loopback daemon");
+        let daemon = NetDaemon::bind_full(system, net_cfg, fallback).expect("bind loopback daemon");
         let (addr, _stop, join) = daemon.spawn();
         println!("serving over TCP via ucad-net daemon at {addr}");
         let mut client = NetClient::connect(addr.to_string()).expect("connect to daemon");

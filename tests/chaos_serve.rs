@@ -345,7 +345,8 @@ fn dead_shard_full_queue_submission_never_deadlocks() {
             queue_capacity: 2,
             ..ServeConfig::default()
         };
-        let mut engine = ShardedOnlineUcad::new(system.clone(), cfg);
+        let mut engine =
+            ShardedOnlineUcad::try_new(system.clone(), cfg).expect("valid serve config");
         for record in &stream {
             assert_eq!(engine.try_submit(record), Ok(SubmitOutcome::Accepted));
         }
@@ -474,14 +475,9 @@ fn combined_chaos_with_process_restart_reconciles_exactly() {
             .saturate(12, 22, None)
             .stall_us(200);
         let guard = FaultGuard::Armed(plan.arm());
-        let mut engine = ShardedOnlineUcad::try_new_durable(
-            system.clone(),
-            cfg,
-            None,
-            None,
-            DurabilityConfig::new(&dir_clone),
-        )
-        .expect("fresh durable engine");
+        let mut engine =
+            ShardedOnlineUcad::recover(system.clone(), cfg, DurabilityConfig::new(&dir_clone))
+                .expect("fresh durable engine");
         let (mut accepted_1, mut shed_1) = (0u64, 0u64);
         for record in &stream[..half] {
             match engine.try_submit(record).expect("submit") {

@@ -257,7 +257,8 @@ fn run_combo(shards: usize, cache: usize) -> (Vec<Alert>, u32) {
 /// same script. `drain_alerts` is byte-identical across shard counts and
 /// cache settings, so a single reference covers every combo.
 fn crash_free_alerts() -> Vec<Alert> {
-    let mut engine = ShardedOnlineUcad::new(system(), serve_cfg(2, 256));
+    let mut engine =
+        ShardedOnlineUcad::try_new(system(), serve_cfg(2, 256)).expect("valid serve config");
     let (stream, ids) = script();
     for record in &stream {
         assert_eq!(engine.try_submit(record), Ok(SubmitOutcome::Accepted));

@@ -141,7 +141,7 @@ fn scenario1_obs_counters_match_golden_fixture() {
         flight_capacity: 64,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::new(system, engine_cfg);
+    let mut engine = ShardedOnlineUcad::try_new(system, engine_cfg).expect("valid serve config");
     let queues: Vec<Vec<LogRecord>> = sessions.iter().map(records_of).collect();
     let longest = queues.iter().map(Vec::len).max().unwrap_or(0);
     for i in 0..longest {

@@ -128,10 +128,11 @@ fn monitored_run(spec: &ScenarioSpec, seed: u64, sessions: usize) -> DriftSnapsh
         shards: 1,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::try_new_observed(
+    let mut engine = ShardedOnlineUcad::try_new_full(
         system.clone(),
         cfg,
         Some(Arc::clone(&monitor) as Arc<dyn ucad::ServeObserver>),
+        None,
     )
     .expect("single-shard engine");
     let (stream, ids) = stream_from(spec, seed, sessions);

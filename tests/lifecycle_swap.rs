@@ -139,7 +139,8 @@ fn post_swap_alerts(shards: usize, cache_capacity: usize) -> Vec<Alert> {
         cache_capacity,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::new(fx.system.clone(), cfg);
+    let mut engine =
+        ShardedOnlineUcad::try_new(fx.system.clone(), cfg).expect("valid serve config");
     let (stream_a, ids_a) = interleaved_stream(51, 5, 10_000);
     let _pre = run_stream(&mut engine, &stream_a, &ids_a);
     let promoted = fx.store.load(&fx.promoted_id).expect("load checkpoint");
@@ -163,7 +164,7 @@ fn cold_start_alerts(shards: usize, cache_capacity: usize) -> Vec<Alert> {
         cache_capacity,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::new(system, cfg);
+    let mut engine = ShardedOnlineUcad::try_new(system, cfg).expect("valid serve config");
     let (stream_b, ids_b) = interleaved_stream(52, 6, 20_000);
     let alerts = run_stream(&mut engine, &stream_b, &ids_b);
     drop(engine.shutdown());
@@ -248,7 +249,8 @@ fn managed_promotion_serves_the_committed_checkpoint() {
         cache_capacity: 128,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::new(fx.system.clone(), cfg);
+    let mut engine =
+        ShardedOnlineUcad::try_new(fx.system.clone(), cfg).expect("valid serve config");
     let (stream_a, ids_a) = interleaved_stream(77, 4, 30_000);
     let _ = run_stream(&mut engine, &stream_a, &ids_a);
 
@@ -274,7 +276,7 @@ fn managed_promotion_serves_the_committed_checkpoint() {
         cache_capacity: 128,
         ..ServeConfig::default()
     };
-    let mut cold_engine = ShardedOnlineUcad::new(system, cfg);
+    let mut cold_engine = ShardedOnlineUcad::try_new(system, cfg).expect("valid serve config");
     let cold = run_stream(&mut cold_engine, &stream_b, &ids_b);
     drop(cold_engine.shutdown());
     assert_eq!(
@@ -310,7 +312,8 @@ fn swap_during_shard_restart_matches_cold_start() {
         // (no closes) to mirror the faulted engine below, where stream-A
         // sessions straddle the swap.
         let quiet = ucad_fault::quiesce();
-        let mut reference = ShardedOnlineUcad::new(fx.system.clone(), cfg);
+        let mut reference =
+            ShardedOnlineUcad::try_new(fx.system.clone(), cfg).expect("valid serve config");
         for r in &stream_a {
             reference.try_submit(r).expect("submit");
         }
@@ -318,7 +321,8 @@ fn swap_during_shard_restart_matches_cold_start() {
         drop(reference.shutdown());
         drop(quiet);
 
-        let mut engine = ShardedOnlineUcad::new(fx.system.clone(), cfg);
+        let mut engine =
+            ShardedOnlineUcad::try_new(fx.system.clone(), cfg).expect("valid serve config");
         let kill_at = stream_a
             .iter()
             .filter(|r| engine.shard_of(r.session_id) == 0)
@@ -376,7 +380,8 @@ fn rejected_candidate_never_swaps() {
         },
     );
     let candidate = fx.store.load(&fx.promoted_id).expect("load candidate");
-    let mut engine = ShardedOnlineUcad::new(fx.system.clone(), ServeConfig::default());
+    let mut engine = ShardedOnlineUcad::try_new(fx.system.clone(), ServeConfig::default())
+        .expect("valid serve config");
     let outcome = life
         .promote(&mut engine, candidate, &[vec![1, 2, 3]])
         .expect("promotion protocol");

@@ -312,7 +312,8 @@ fn cross_process_alert_stream_is_byte_identical() {
         return; // daemon children run `child_entry` only
     }
 
-    let mut reference = ShardedOnlineUcad::new(system(), serve_cfg(0));
+    let mut reference =
+        ShardedOnlineUcad::try_new(system(), serve_cfg(0)).expect("valid serve config");
     let (expected, submitted) = run_canonical(&mut reference);
     let ref_stats = reference.stats();
     assert_eq!(ref_stats.records(), submitted);
@@ -483,7 +484,8 @@ fn kill_and_failover_alert_stream_is_byte_identical() {
         return; // daemon children run `child_entry` only
     }
 
-    let mut reference = ShardedOnlineUcad::new(system(), serve_cfg(0));
+    let mut reference =
+        ShardedOnlineUcad::try_new(system(), serve_cfg(0)).expect("valid serve config");
     let (expected, _submitted) = run_canonical(&mut reference);
     drop(reference.shutdown());
     assert!(
@@ -532,7 +534,7 @@ proptest! {
         let replay_from = (((cut as f64) * replay_frac) as usize).min(cut);
 
         // Crash-free reference, same seq tagging as the durable run.
-        let mut reference = ShardedOnlineUcad::new(system(), serve_cfg(0));
+        let mut reference = ShardedOnlineUcad::try_new(system(), serve_cfg(0)).expect("valid serve config");
         for (seq, record) in stream.iter().enumerate() {
             prop_assert_eq!(
                 reference.try_submit_at(record, seq as u64),
@@ -554,11 +556,9 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut engine = ShardedOnlineUcad::try_new_durable(
+        let mut engine = ShardedOnlineUcad::recover(
             system(),
             serve_cfg(0),
-            None,
-            None,
             DurabilityConfig::new(&dir),
         )
         .expect("fresh durable engine");

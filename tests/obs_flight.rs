@@ -93,7 +93,7 @@ fn flight_recorder_captures_injected_anomaly_context() {
         .map(|(s, _)| s.id)
         .collect();
 
-    let mut engine = ShardedOnlineUcad::new(
+    let mut engine = ShardedOnlineUcad::try_new(
         system,
         ServeConfig {
             shards: 3,
@@ -102,7 +102,8 @@ fn flight_recorder_captures_injected_anomaly_context() {
             flight_capacity: 32,
             ..ServeConfig::default()
         },
-    );
+    )
+    .expect("valid serve config");
     let shard_of: Vec<(u64, usize)> = sessions
         .iter()
         .map(|(s, _)| (s.id, engine.shard_of(s.id)))

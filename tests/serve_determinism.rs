@@ -113,7 +113,7 @@ fn sharded_alerts(
         mode,
         ..ServeConfig::default()
     };
-    let mut engine = ShardedOnlineUcad::new(system.clone(), cfg);
+    let mut engine = ShardedOnlineUcad::try_new(system.clone(), cfg).expect("valid serve config");
     for r in stream {
         engine.try_submit(r).expect("submit");
     }

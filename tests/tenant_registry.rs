@@ -182,3 +182,27 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// One validation rule for every front: a zero-capacity shard queue is
+/// refused on the same field by the engine, the tenant pool and the daemon
+/// builder, never silently rounded up.
+#[test]
+fn zero_queue_capacity_is_refused_alike_by_engine_pool_and_daemon() {
+    let cfg = ServeConfig {
+        queue_capacity: 0,
+        ..ServeConfig::default()
+    };
+    let field_of = |e: UcadError| match e {
+        UcadError::InvalidConfig { field, .. } => field,
+        other => panic!("expected InvalidConfig, got {other}"),
+    };
+    let engine = ShardedOnlineUcad::try_new(tiny_system().clone(), cfg).err();
+    assert_eq!(engine.map(field_of), Some("queue_capacity"));
+    let dir = temp_dir("zero-queue");
+    let registry = TenantRegistry::open(&dir, 1, 0).unwrap();
+    let pool = TenantShardPool::new(registry, cfg).err();
+    assert_eq!(pool.map(field_of), Some("queue_capacity"));
+    let daemon = ucad_net::NetServeConfig::builder().serve(cfg).build().err();
+    assert_eq!(daemon.map(field_of), Some("queue_capacity"));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -105,7 +105,7 @@ fn sharded_alerts(
     mode: DetectionMode,
 ) -> Vec<Alert> {
     let (system, _) = trained();
-    let mut engine = ShardedOnlineUcad::new(
+    let mut engine = ShardedOnlineUcad::try_new(
         system.clone(),
         ServeConfig {
             shards,
@@ -113,7 +113,8 @@ fn sharded_alerts(
             mode,
             ..ServeConfig::default()
         },
-    );
+    )
+    .expect("valid serve config");
     for r in stream {
         engine.try_submit(r).expect("submit");
     }
