@@ -183,6 +183,8 @@ wall_net() {
 
 wall_crash_recovery() {
   cargo test --release --test wal_props
+  # The shared frame splitter's damage classes, tagged and untagged
+  cargo test -p ucad-wal --release
   for t in 1 4; do
     UCAD_THREADS=$t cargo test --release --test crash_recovery
   done

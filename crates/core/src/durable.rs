@@ -29,13 +29,6 @@ pub struct DurabilityConfig {
     /// markers, epoch cuts) plus `shard-N/wal/` and `shard-N/snap/` per
     /// shard.
     pub dir: PathBuf,
-    /// Segment rotation threshold for the per-shard logs, in bytes.
-    pub segment_max_bytes: u64,
-    /// Fsync batching for the per-shard logs: sync after every N appends
-    /// (1 = every record, strongest; 0 = only at barriers — drains,
-    /// snapshots, shutdown). The meta log always syncs per record: drain
-    /// markers are the exactly-once boundary and must never be lost.
-    pub fsync_every: u64,
     /// Automatically snapshot every shard (and truncate the logs) once this
     /// many operations have been appended since the last snapshot, checked
     /// at drain time. 0 = automatic snapshots off; explicit
@@ -45,27 +38,13 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability rooted at `dir` with the default knobs: 1 MiB segments,
-    /// fsync on every append, no automatic snapshots.
+    /// Durability rooted at `dir` with no automatic snapshots. Shard logs
+    /// use [`WalOptions::default`]: 1 MiB segments, fsync on every append.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
-            segment_max_bytes: 1 << 20,
-            fsync_every: 1,
             snapshot_every: 0,
         }
-    }
-
-    /// Sets the segment rotation threshold in bytes.
-    pub fn segment_max_bytes(mut self, bytes: u64) -> Self {
-        self.segment_max_bytes = bytes;
-        self
-    }
-
-    /// Sets the fsync batch size for the per-shard logs.
-    pub fn fsync_every(mut self, appends: u64) -> Self {
-        self.fsync_every = appends;
-        self
     }
 
     /// Sets the automatic snapshot cadence in appends (0 disables).
@@ -242,6 +221,7 @@ impl DurableState {
             // Never truncated and tiny: one segment per directory lifetime
             // is plenty, so rotation is effectively off.
             segment_max_bytes: u64::MAX,
+            // Drain markers are the exactly-once boundary: sync each one.
             fsync_every: 1,
         };
         let (meta, rec) = SegmentedWal::open(meta_dir, meta_opts, metrics.wal.clone())?;
@@ -305,12 +285,11 @@ impl DurableState {
     ) -> Result<Trackers, UcadError> {
         let shard_dir = self.cfg.dir.join(format!("shard-{}", self.shards.len()));
         let origin = shard_dir.display().to_string();
-        let shard_opts = WalOptions {
-            segment_max_bytes: self.cfg.segment_max_bytes,
-            fsync_every: self.cfg.fsync_every,
-        };
-        let (wal, rec) =
-            SegmentedWal::open(shard_dir.join("wal"), shard_opts, self.metrics.wal.clone())?;
+        let (wal, rec) = SegmentedWal::open(
+            shard_dir.join("wal"),
+            WalOptions::default(),
+            self.metrics.wal.clone(),
+        )?;
         let snaps = SnapshotStore::open(shard_dir.join("snap"))?;
         let mut trackers = Trackers::new(self.mode);
         let mut ops = 0u64;

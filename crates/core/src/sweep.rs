@@ -3,7 +3,7 @@
 //! training data).
 
 use crate::experiment::{run_transdas, TokenizedDataset};
-use ucad_model::{DetectorConfig, TransDasConfig};
+use ucad_model::{DetectorConfig, TrainReport, TransDasConfig};
 
 /// One sweep observation.
 #[derive(Debug, Clone)]
@@ -14,6 +14,20 @@ pub struct SweepPoint {
     pub f1: f64,
     /// Mean training seconds per epoch at this value.
     pub secs_per_epoch: f64,
+    /// Window positions one training epoch processes (windows × L): the
+    /// machine-independent work count behind `secs_per_epoch`.
+    pub positions_per_epoch: usize,
+}
+
+impl SweepPoint {
+    fn new(value: f64, f1: f64, report: &TrainReport, window: usize) -> Self {
+        SweepPoint {
+            value,
+            f1,
+            secs_per_epoch: mean(&report.epoch_secs),
+            positions_per_epoch: report.windows * window,
+        }
+    }
 }
 
 /// Sweeps the detection parameter `p` (no retraining needed conceptually,
@@ -31,7 +45,6 @@ pub fn sweep_top_p(
     };
     let mut model = ucad_model::TransDas::new(cfg);
     let report = model.train(&data.train);
-    let secs = mean(&report.epoch_secs);
     values
         .iter()
         .map(|&p| {
@@ -44,11 +57,7 @@ pub fn sweep_top_p(
             );
             let confusions = data.evaluate(|keys| det.detect_session(keys).abnormal);
             let row = crate::metrics::MethodResult::from_confusions("p", &confusions);
-            SweepPoint {
-                value: p as f64,
-                f1: row.f1,
-                secs_per_epoch: secs,
-            }
+            SweepPoint::new(p as f64, row.f1, &report, cfg.window)
         })
         .collect()
 }
@@ -68,11 +77,7 @@ pub fn sweep_window(
                 ..model_cfg
             };
             let (row, report) = run_transdas(data, "L", cfg, det_cfg);
-            SweepPoint {
-                value: l as f64,
-                f1: row.f1,
-                secs_per_epoch: mean(&report.epoch_secs),
-            }
+            SweepPoint::new(l as f64, row.f1, &report, l)
         })
         .collect()
 }
@@ -92,11 +97,7 @@ pub fn sweep_margin(
                 ..model_cfg
             };
             let (row, report) = run_transdas(data, "g", cfg, det_cfg);
-            SweepPoint {
-                value: g as f64,
-                f1: row.f1,
-                secs_per_epoch: mean(&report.epoch_secs),
-            }
+            SweepPoint::new(g as f64, row.f1, &report, cfg.window)
         })
         .collect()
 }
@@ -123,11 +124,7 @@ pub fn sweep_hidden(
                 ..model_cfg
             };
             let (row, report) = run_transdas(data, "h", cfg, det_cfg);
-            SweepPoint {
-                value: h as f64,
-                f1: row.f1,
-                secs_per_epoch: mean(&report.epoch_secs),
-            }
+            SweepPoint::new(h as f64, row.f1, &report, cfg.window)
         })
         .collect()
 }
@@ -180,7 +177,9 @@ mod tests {
     fn window_sweep_time_grows_with_length() {
         // Sessions much longer than every window value: the window count is
         // then ~constant and per-window cost dominates, which is the Table 5
-        // regime (L sweeps below the average session length).
+        // regime (L sweeps below the average session length). The epoch's
+        // cost is asserted on its work count, not its wall-clock time, which
+        // a loaded machine can invert; Table 5's bench prints the seconds.
         let (_, model, det) = quick();
         let long_sessions: Vec<Vec<u32>> = (0..12)
             .map(|i| (0..80).map(|j| 1 + ((i + j) % 6) as u32).collect())
@@ -193,10 +192,10 @@ mod tests {
         data.train = long_sessions;
         let points = sweep_window(&data, model, det, &[6, 24]);
         assert!(
-            points[1].secs_per_epoch > points[0].secs_per_epoch,
-            "L=24 ({}) not slower than L=6 ({})",
-            points[1].secs_per_epoch,
-            points[0].secs_per_epoch
+            points[1].positions_per_epoch > points[0].positions_per_epoch,
+            "L=24 ({} positions) not more work than L=6 ({})",
+            points[1].positions_per_epoch,
+            points[0].positions_per_epoch
         );
     }
 

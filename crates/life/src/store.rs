@@ -51,8 +51,7 @@
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use ucad_model::{TransDas, UcadError};
-use ucad_wal::envelope;
-use ucad_wal::{fnv1a64, retry_io, write_atomic};
+use ucad_wal::{crc32::crc32, envelope, fnv1a64, retry_io, write_atomic};
 
 /// The envelope magic [`CheckpointStore::save`] writes: a binary payload.
 const MAGIC: &[u8; 8] = b"UCADCKP2";
@@ -195,7 +194,7 @@ impl CheckpointStore {
         self.manifest.entries.push(ManifestEntry {
             id: id.clone(),
             bytes: bytes.len() as u64,
-            crc32: envelope::stored_crc(&bytes),
+            crc32: crc32(&payload),
             seq,
         });
         while self.manifest.entries.len() > self.retention {

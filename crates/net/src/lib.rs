@@ -6,8 +6,9 @@
 //!
 //! The crate is the remote half of the [`ucad::Admission`] redesign:
 //!
-//! * [`protocol`] — length-prefixed frames (`"UNET"` magic + version +
-//!   CRC-32, the WAL's framing discipline on a socket) carrying JSON
+//! * [`protocol`] — length-prefixed frames (`ucad-wal`'s checked frame,
+//!   the layout of WAL records and file envelopes, under a tag of magic
+//!   `"UNET"`, version and kind) carrying JSON
 //!   requests/responses. Damage decodes to typed [`ucad_model::UcadError`]
 //!   values, never a panic.
 //! * [`NetDaemon`] — owns a [`ucad::ShardedOnlineUcad`] and serves the

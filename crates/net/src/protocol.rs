@@ -1,8 +1,8 @@
 //! The UCAD wire protocol: compact length-prefixed binary frames.
 //!
-//! Every message travels as one self-delimiting frame, reusing the WAL's
-//! framing discipline (`ucad-wal`'s length + CRC-32 prefix) with a network
-//! preamble in front:
+//! Every message travels as one self-delimiting frame: `ucad-wal`'s checked
+//! frame (`ucad_wal::frame`, the layout of WAL records and file envelopes)
+//! under an 8-byte network tag:
 //!
 //! ```text
 //! offset  size  field
@@ -14,12 +14,14 @@
 //! 16      n     payload: one JSON-encoded [`Request`] or [`Response`]
 //! ```
 //!
-//! The CRC is computed by the *same* `ucad_wal::crc32` the on-disk log
-//! uses. Decoding never panics: every check failure — wrong magic, unknown
-//! version or kind, an implausible length, a CRC mismatch — surfaces as
+//! So `encode_frame(kind, p)` is byte for byte an envelope of `p` under
+//! that tag, and [`decode_frame`] reads length and CRC through the same
+//! splitter the WAL scan and the envelope decoder use. Decoding never
+//! panics: every check failure — wrong magic, unknown version or kind, an
+//! implausible length, a CRC mismatch — surfaces as
 //! [`UcadError::Protocol`]. A frame that merely hasn't fully arrived yet is
-//! `Ok(None)`, so a streaming reader can distinguish "wait for more bytes"
-//! from "this connection is speaking garbage".
+//! `Ok(None)`, so a streaming reader ([`FrameBuffer`]) can distinguish
+//! "wait for more bytes" from "this connection is speaking garbage".
 //!
 //! Damage recovery follows the WAL's rule adapted to a stream: framing
 //! damage is unrecoverable (the byte stream has lost its self-delimiting
@@ -33,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use ucad::{Alert, ServeStats, SubmitOutcome};
 use ucad_dbsim::LogRecord;
 use ucad_model::UcadError;
-use ucad_wal::crc32::crc32;
+use ucad_wal::frame::{self, Split};
 
 /// Frame preamble: the ASCII bytes `"UNET"`.
 pub const MAGIC: [u8; 4] = *b"UNET";
@@ -41,12 +43,15 @@ pub const MAGIC: [u8; 4] = *b"UNET";
 /// Current protocol version.
 pub const VERSION: u16 = 1;
 
+/// Bytes of the frame tag: magic, version and kind.
+const TAG_LEN: usize = 8;
+
 /// Bytes of frame metadata before each payload.
-pub const HEADER_LEN: usize = 16;
+pub const HEADER_LEN: usize = TAG_LEN + frame::HEADER_LEN;
 
 /// Upper bound on a single payload. Anything larger in a length field is
 /// treated as protocol damage, so a bit flip cannot make a reader attempt
-/// a multi-gigabyte allocation (the WAL's `MAX_FRAME_LEN` rule).
+/// a multi-gigabyte allocation.
 pub const MAX_PAYLOAD_LEN: usize = 16 * 1024 * 1024;
 
 /// Which direction a frame travels.
@@ -169,14 +174,10 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
         "payload of {} bytes exceeds MAX_PAYLOAD_LEN",
         payload.len()
     );
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&kind.to_u16().to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+    let [v0, v1] = VERSION.to_le_bytes();
+    let [k0, k1] = kind.to_u16().to_le_bytes();
+    let [m0, m1, m2, m3] = MAGIC;
+    frame::encode(&[m0, m1, m2, m3, v0, v1, k0, k1], payload)
 }
 
 /// Decodes the first frame of `bytes`, without consuming them.
@@ -189,7 +190,7 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 ///
 /// Decoding never panics, whatever the input.
 pub fn decode_frame(bytes: &[u8]) -> Result<Option<(FrameKind, Vec<u8>, usize)>, UcadError> {
-    // Validate the preamble on however much of it has arrived: garbage is
+    // Validate the tag on however much of it has arrived: garbage is
     // reported as soon as it is provable, not after a full header trickles
     // in.
     let magic_got = &bytes[..bytes.len().min(4)];
@@ -206,80 +207,27 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Option<(FrameKind, Vec<u8>, usize)>,
             )));
         }
     }
-    if bytes.len() < HEADER_LEN {
+    if bytes.len() < TAG_LEN {
         return Ok(None);
     }
     let kind = FrameKind::from_u16(u16::from_le_bytes([bytes[6], bytes[7]]))?;
-    let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-    if len > MAX_PAYLOAD_LEN {
-        return Err(UcadError::protocol(format!(
+    match frame::split(&bytes[TAG_LEN..], MAX_PAYLOAD_LEN) {
+        Split::Whole(payload) => Ok(Some((kind, payload.to_vec(), HEADER_LEN + payload.len()))),
+        Split::Short(_) => Ok(None),
+        Split::TooLong(len) => Err(UcadError::protocol(format!(
             "implausible payload length {len} (max {MAX_PAYLOAD_LEN})"
-        )));
-    }
-    if bytes.len() < HEADER_LEN + len {
-        return Ok(None);
-    }
-    let stored_crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-    let computed = crc32(payload);
-    if stored_crc != computed {
-        return Err(UcadError::protocol(format!(
-            "payload CRC mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"
-        )));
-    }
-    Ok(Some((kind, payload.to_vec(), HEADER_LEN + len)))
-}
-
-/// Reads exactly one frame from a stream. `Ok(None)` is a clean EOF on a
-/// frame boundary; an EOF mid-frame is [`UcadError::Protocol`] (a torn
-/// frame, the stream analogue of the WAL's torn tail); transport failures
-/// are [`UcadError::Net`].
-pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<(FrameKind, Vec<u8>)>, UcadError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(UcadError::protocol(format!(
-                    "torn frame header: connection closed after {got} of {HEADER_LEN} bytes"
-                )))
-            }
-            Ok(n) => {
-                got += n;
-                // Fail fast on provable garbage, mirroring decode_frame.
-                decode_frame(&header[..got])?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(UcadError::net("read frame header", e.to_string())),
-        }
-    }
-    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
-    let mut frame = header.to_vec();
-    frame.resize(HEADER_LEN + len, 0);
-    let mut at = HEADER_LEN;
-    while at < frame.len() {
-        match r.read(&mut frame[at..]) {
-            Ok(0) => {
-                return Err(UcadError::protocol(format!(
-                    "torn frame: connection closed {} bytes short of the payload",
-                    frame.len() - at
-                )))
-            }
-            Ok(n) => at += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(UcadError::net("read frame payload", e.to_string())),
-        }
-    }
-    match decode_frame(&frame)? {
-        Some((kind, payload, _)) => Ok(Some((kind, payload))),
-        None => unreachable!("a fully read frame always decodes or errors"),
+        ))),
+        Split::BadCrc {
+            stored, computed, ..
+        } => Err(UcadError::protocol(format!(
+            "payload CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        ))),
     }
 }
 
 /// An incremental frame reader: feed it raw bytes as they arrive, pop
-/// complete frames as they become available. This is what deadline-aware
-/// readers use instead of [`read_frame`] — a socket read timeout can fire
+/// complete frames as they become available. The client and the daemon
+/// both read through it: a socket read timeout can fire
 /// *between* chunks of one frame, and the buffer keeps the partial frame
 /// intact across the timeout so the caller can distinguish "idle at a
 /// frame boundary" ([`FrameBuffer::is_mid_frame`] false: reap or keep
@@ -329,18 +277,6 @@ pub fn is_timeout(e: &std::io::Error) -> bool {
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
-}
-
-/// Writes one framed message to a stream.
-pub fn write_frame(
-    w: &mut impl std::io::Write,
-    kind: FrameKind,
-    payload: &[u8],
-) -> Result<(), UcadError> {
-    let frame = encode_frame(kind, payload);
-    w.write_all(&frame)
-        .and_then(|()| w.flush())
-        .map_err(|e| UcadError::net("write frame", e.to_string()))
 }
 
 /// Serializes a message into frame bytes.
@@ -412,6 +348,14 @@ mod tests {
     }
 
     #[test]
+    fn unknown_kind_is_typed_damage_from_the_tag_alone() {
+        let mut frame = encode_message(FrameKind::Request, &Request::Flush);
+        frame[6] = 9;
+        let err = decode_frame(&frame[..TAG_LEN]).unwrap_err();
+        assert!(err.to_string().contains("unknown frame kind"), "{err}");
+    }
+
+    #[test]
     fn oversized_length_is_typed_damage() {
         let mut frame = encode_message(FrameKind::Request, &Request::Flush);
         frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -429,16 +373,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_reader_round_trips_and_reports_clean_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, b"\"Flush\"").unwrap();
-        write_frame(&mut buf, FrameKind::Request, b"\"Drain\"").unwrap();
-        let mut cursor = &buf[..];
-        let (_, p1) = read_frame(&mut cursor).unwrap().unwrap();
-        let (_, p2) = read_frame(&mut cursor).unwrap().unwrap();
+    fn frame_buffer_round_trips_and_ends_on_a_frame_boundary() {
+        let mut fb = FrameBuffer::new();
+        fb.push(&encode_frame(FrameKind::Request, b"\"Flush\""));
+        fb.push(&encode_frame(FrameKind::Request, b"\"Drain\""));
+        let (_, p1) = fb.pop().unwrap().unwrap();
+        let (_, p2) = fb.pop().unwrap().unwrap();
         assert_eq!(p1, b"\"Flush\"");
         assert_eq!(p2, b"\"Drain\"");
-        assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+        assert_eq!(fb.pop().unwrap(), None);
+        assert!(!fb.is_mid_frame(), "an EOF here is a clean hangup");
     }
 
     #[test]
@@ -474,11 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn torn_stream_is_typed_damage() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, FrameKind::Request, b"\"Flush\"").unwrap();
-        let mut cursor = &buf[..buf.len() - 3];
-        let err = read_frame(&mut cursor).unwrap_err();
-        assert!(err.to_string().contains("torn frame"), "{err}");
+    fn torn_stream_is_left_mid_frame() {
+        let frame = encode_frame(FrameKind::Request, b"\"Flush\"");
+        let mut fb = FrameBuffer::new();
+        fb.push(&frame[..frame.len() - 3]);
+        assert_eq!(fb.pop().unwrap(), None);
+        assert!(fb.is_mid_frame(), "an EOF here is a torn frame");
     }
 }

@@ -41,7 +41,7 @@ pub use registry::{
     log_bounds, Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricSnapshot, Registry,
     EXPOSED_QUANTILES,
 };
-pub use span::{latency_log_bounds, SpanGuard, DEFAULT_LATENCY_BUCKETS};
+pub use span::{latency_log_bounds, SpanGuard};
 
 use std::io::Write;
 use std::sync::{Mutex, OnceLock};

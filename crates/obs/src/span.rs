@@ -13,14 +13,6 @@
 use crate::registry::Histogram;
 use std::time::Instant;
 
-/// Legacy fixed latency buckets (1µs .. 10s, roughly exponential). Span and
-/// latency histograms now use the log-bucketed [`latency_log_bounds`]
-/// instead, which adds enough resolution for p99/p999 estimation; this
-/// remains for callers that want a coarse 12-bucket shape.
-pub const DEFAULT_LATENCY_BUCKETS: [f64; 12] = [
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-];
-
 /// The latency-bucket layout every duration metric shares: log-spaced
 /// bounds, 100ns to 100s at 5 buckets per decade (46 buckets, ~58% relative
 /// width) — fine enough for meaningful p50/p90/p99/p999 interpolation from
@@ -108,7 +100,7 @@ mod tests {
 
     #[test]
     fn span_records_into_its_histogram() {
-        let hist = Histogram::new(&DEFAULT_LATENCY_BUCKETS);
+        let hist = Histogram::new(latency_log_bounds());
         {
             let _g = SpanGuard::new("test.scope", hist.clone());
             std::thread::sleep(std::time::Duration::from_millis(1));

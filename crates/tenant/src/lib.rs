@@ -10,8 +10,8 @@
 //! workers:
 //!
 //! * [`TenantRegistry`] — the durable tenant catalog. Each tenant's
-//!   preprocessing state and detector configuration persist as
-//!   `profile.json`, its model as a content-addressed checkpoint in a
+//!   preprocessing state and detector configuration persist as a
+//!   CRC-sealed `profile.json`, its model as a content-addressed checkpoint in a
 //!   per-tenant [`ucad_life::CheckpointStore`]. A bounded resident budget
 //!   keeps only the most-recently-used models in memory; colder tenants
 //!   are evicted and reloaded bit-exactly on demand

@@ -8,6 +8,12 @@
 //!   checkpoints/    # content-addressed model versions (ucad-life store)
 //! ```
 //!
+//! `profile.json` is sealed: its JSON is the payload of a `ucad-wal`
+//! envelope under magic `UCADPRF1`, so a flipped bit fails its CRC instead
+//! of loading a different vocabulary. A bare-JSON profile, as registries
+//! wrote before profiles were sealed, still loads; no JSON document starts
+//! with the magic.
+//!
 //! In memory, only the `budget` most-recently-activated tenants keep their
 //! [`Ucad`] system resident; activating a colder tenant reloads its model
 //! from the checkpoint store (a *cold load*) and evicts the
@@ -38,10 +44,13 @@ use ucad_life::CheckpointStore;
 use ucad_model::{DetectorConfig, ScoreCache, UcadError};
 use ucad_obs::{Counter, Gauge, Registry};
 use ucad_preprocess::Preprocessor;
-use ucad_wal::{retry_io, write_atomic};
+use ucad_wal::{envelope, retry_io, write_atomic};
 
 /// Checkpoint versions retained per tenant (current + one fallback).
 const CHECKPOINT_RETENTION: usize = 2;
+
+/// Envelope magic of a sealed `profile.json`.
+const PROFILE_MAGIC: &[u8; 8] = b"UCADPRF1";
 
 /// The durable half of a tenant: everything except the model weights,
 /// which live in the tenant's checkpoint store.
@@ -241,12 +250,13 @@ impl TenantRegistry {
             preprocessor: system.preprocessor.clone(),
             detector: system.detector,
         };
-        let text = serde_json::to_string(&profile)
+        let json = serde_json::to_string(&profile)
             .map_err(|e| UcadError::protocol(format!("profile encode: {e:?}")))?;
         // tmp + rename so a crash mid-write never leaves a torn profile.
         let path = self.profile_path(tenant);
         let tmp = tdir.join("profile.json.tmp");
-        write_atomic(&tmp, &path, text.as_bytes())?;
+        let sealed = envelope::encode(PROFILE_MAGIC, json.as_bytes());
+        write_atomic(&tmp, &path, &sealed)?;
         let mut store = CheckpointStore::open(self.checkpoints_dir(tenant), CHECKPOINT_RETENTION)?;
         store.save(&system.model)?;
         Ok(())
@@ -254,17 +264,18 @@ impl TenantRegistry {
 
     fn load_profile(&self, tenant: TenantId) -> Result<TenantProfile, UcadError> {
         let path = self.profile_path(tenant);
-        let bytes = retry_io(|| ucad_fault::fs_read(&path))
-            .map_err(|e| UcadError::io(path.display().to_string(), &e))?;
-        std::str::from_utf8(&bytes)
+        let origin = path.display().to_string();
+        let bytes =
+            retry_io(|| ucad_fault::fs_read(&path)).map_err(|e| UcadError::io(&origin, &e))?;
+        let json = if bytes.starts_with(PROFILE_MAGIC) {
+            envelope::decode(PROFILE_MAGIC, &bytes, &origin)?
+        } else {
+            &bytes
+        };
+        std::str::from_utf8(json)
             .map_err(|e| format!("{e:?}"))
             .and_then(|text| serde_json::from_str(text).map_err(|e| format!("{e:?}")))
-            .map_err(|e| {
-                UcadError::corrupt(
-                    path.display().to_string(),
-                    format!("profile decode failed: {e}"),
-                )
-            })
+            .map_err(|e| UcadError::corrupt(origin, format!("profile decode failed: {e}")))
     }
 
     fn touch(&mut self, tenant: TenantId) {
@@ -541,6 +552,55 @@ mod tests {
         assert_eq!(guard.stats().fs_injected_io, 3, "profile read retried");
         assert_eq!(handle.name.as_ref(), "one");
         drop(guard);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every single-bit flip of a sealed profile fails as `Corrupt`.
+    #[test]
+    fn every_bit_flip_of_a_sealed_profile_is_corrupt() {
+        let dir = temp_dir("flip");
+        let mut reg = TenantRegistry::open(&dir, 1, 0).unwrap();
+        reg.register(3, "three", &tiny_system(TenantArchetype::Syslog, 10))
+            .unwrap();
+        let path = reg.profile_path(3);
+        let sealed = std::fs::read(&path).unwrap();
+        assert!(sealed.starts_with(PROFILE_MAGIC));
+        reg.load_profile(3).unwrap();
+        for bit in 0..sealed.len() * 8 {
+            let mut bytes = sealed.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            match reg.load_profile(3) {
+                Err(UcadError::Corrupt { .. }) => {}
+                other => panic!("bit {bit}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bare-JSON profile, written the way registries did before profiles
+    /// were sealed, still activates.
+    #[test]
+    fn bare_json_profile_still_activates() {
+        let dir = temp_dir("bare");
+        let mut reg = TenantRegistry::open(&dir, 2, 0).unwrap();
+        let sys = tiny_system(TenantArchetype::Commenting, 11);
+        reg.register(5, "five", &sys).unwrap();
+        let profile = TenantProfile {
+            name: "five".to_string(),
+            preprocessor: sys.preprocessor.clone(),
+            detector: sys.detector,
+        };
+        std::fs::write(
+            reg.profile_path(5),
+            serde_json::to_string(&profile).unwrap(),
+        )
+        .unwrap();
+        drop(reg);
+        let mut reg = TenantRegistry::open(&dir, 2, 0).unwrap();
+        let handle = reg.activate(5).unwrap();
+        assert_eq!(handle.name.as_ref(), "five");
+        assert_eq!(reg.cold_loads(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

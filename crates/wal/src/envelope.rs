@@ -1,4 +1,5 @@
-//! The whole-file integrity envelope shared by UCAD's durable snapshots.
+//! The whole-file integrity envelope shared by UCAD's durable snapshots:
+//! a [`crate::frame`] under an 8-byte magic tag.
 //!
 //! ```text
 //! offset  size  field
@@ -8,81 +9,72 @@
 //! 16      n     payload
 //! ```
 //!
-//! The format is the checkpoint envelope, generalized over the magic so
-//! model checkpoints and session-state snapshots validate through one code
-//! path:
+//! The magic names the artifact, so every durable file validates through
+//! one code path:
 //!
 //! | magic      | artifact                                           |
 //! |------------|----------------------------------------------------|
 //! | `UCADCKP2` | model checkpoint, binary payload (`ucad-life`)     |
 //! | `UCADCKP1` | model checkpoint, JSON payload (read only)         |
 //! | `UCADSNP1` | session-state snapshot                             |
+//! | `UCADPRF1` | tenant profile, JSON payload (`ucad-tenant`)       |
 //!
-//! WAL segments (`UCADWAL1`) are not enveloped: their header and per-record
-//! frames are checked by `segment` and `frame`.
+//! WAL segments (`UCADWAL1`) are not enveloped: their header is checked by
+//! `segment`, and their records are untagged frames. A network frame
+//! (`ucad_net::protocol`) is the same layout under the tag `"UNET"` + `u16`
+//! version + `u16` kind.
 //!
 //! [`decode`] checks, in order: header length, magic, declared-vs-actual
 //! payload length, CRC — and reports any damage as [`UcadError::Corrupt`]
 //! with the failed check spelled out. It never panics on hostile bytes.
 
-use crate::crc32::crc32;
+use crate::frame::{self, Split};
 use ucad_model::UcadError;
 
 /// Bytes of envelope metadata before the payload.
-pub const HEADER_LEN: usize = 16;
+pub const HEADER_LEN: usize = 8 + frame::HEADER_LEN;
 
 /// Wraps `payload` in an envelope under `magic`.
 pub fn encode(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes
-}
-
-/// The payload CRC-32 an envelope's header records. `bytes` must hold at
-/// least [`HEADER_LEN`] bytes, as [`encode`]'s output always does.
-pub fn stored_crc(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]])
+    frame::encode(magic, payload)
 }
 
 /// Validates the envelope on `bytes` and returns the payload slice.
 /// `origin` names the byte source (a path, usually) in error reports.
 pub fn decode<'a>(magic: &[u8; 8], bytes: &'a [u8], origin: &str) -> Result<&'a [u8], UcadError> {
+    let corrupt = |detail: String| Err(UcadError::corrupt(origin, detail));
     if bytes.len() < HEADER_LEN {
-        return Err(UcadError::corrupt(
-            origin,
-            format!(
-                "truncated header: {} bytes, envelope header is {HEADER_LEN}",
-                bytes.len()
-            ),
+        return corrupt(format!(
+            "truncated header: {} bytes, envelope header is {HEADER_LEN}",
+            bytes.len()
         ));
     }
     if &bytes[..8] != magic {
-        return Err(UcadError::corrupt(
-            origin,
-            format!("bad magic (expected {:?})", String::from_utf8_lossy(magic)),
+        return corrupt(format!(
+            "bad magic (expected {:?})",
+            String::from_utf8_lossy(magic)
         ));
     }
-    let declared = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
+    // The file holds exactly one frame, so its size caps the declared length.
     let actual = bytes.len() - HEADER_LEN;
-    if declared != actual {
-        return Err(UcadError::corrupt(
-            origin,
-            format!("payload length mismatch: header declares {declared}, file holds {actual}"),
-        ));
-    }
-    let stored_crc = stored_crc(bytes);
-    let payload = &bytes[HEADER_LEN..];
-    let computed = crc32(payload);
-    if stored_crc != computed {
-        return Err(UcadError::corrupt(
-            origin,
-            format!("CRC mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"),
-        ));
-    }
-    Ok(payload)
+    let declared = match frame::split(&bytes[8..], actual) {
+        Split::Whole(payload) if payload.len() == actual => return Ok(payload),
+        Split::BadCrc {
+            len,
+            stored,
+            computed,
+        } if len == actual => {
+            return corrupt(format!(
+                "CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            ))
+        }
+        Split::Whole(payload) => payload.len(),
+        Split::BadCrc { len, .. } | Split::TooLong(len) => len,
+        Split::Short(_) => unreachable!("a whole header declaring at most `actual` bytes"),
+    };
+    corrupt(format!(
+        "payload length mismatch: header declares {declared}, file holds {actual}"
+    ))
 }
 
 #[cfg(test)]

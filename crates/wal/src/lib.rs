@@ -4,9 +4,12 @@
 //! storage layer behind `ShardedOnlineUcad`'s full process crash recovery
 //! (ROADMAP item 2). The crate generalizes the integrity discipline the
 //! PR-4 checkpoint store introduced (magic + length + CRC-32 envelope,
-//! tmp-then-rename commits, retry-with-backoff I/O) into three reusable
+//! tmp-then-rename commits, retry-with-backoff I/O) into four reusable
 //! pieces:
 //!
+//! * [`frame`] — the checked frame (`tag | len | crc | payload`) every WAL
+//!   record, file envelope and `ucad-net` wire frame uses: one encoder and
+//!   one bounds-checked splitter, the only reader of length and CRC fields.
 //! * [`envelope`] — the whole-file envelope (`magic | len | crc | payload`)
 //!   shared with `ucad-life`'s checkpoint store, now generic over the magic
 //!   so WAL snapshots and model checkpoints validate through one code path.
@@ -34,7 +37,7 @@
 
 pub mod crc32;
 pub mod envelope;
-mod frame;
+pub mod frame;
 mod segment;
 mod snapshot;
 mod wal;

@@ -99,7 +99,7 @@ pub(crate) fn read_segment(bytes: &[u8], expected_first_idx: u64, path: &Path) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::append_frame;
+    use crate::frame;
     use std::path::PathBuf;
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
     fn header_damage_poisons_the_segment() {
         let path = PathBuf::from("seg");
         let mut bytes = segment_header(5).to_vec();
-        append_frame(&mut bytes, b"record");
+        bytes.extend_from_slice(&frame::encode(&[], b"record"));
 
         let good = read_segment(&bytes, 5, &path);
         assert_eq!(good.payloads, vec![b"record".to_vec()]);

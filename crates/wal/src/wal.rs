@@ -1,6 +1,6 @@
 //! The segmented write-ahead log itself.
 
-use crate::frame::{append_frame, FRAME_HEADER_LEN};
+use crate::frame;
 use crate::segment::{
     parse_segment_name, read_segment, segment_file_name, segment_header, SEGMENT_HEADER_LEN,
 };
@@ -216,8 +216,7 @@ impl SegmentedWal {
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, UcadError> {
         ucad_fault::on_wal_append(&self.dir)
             .map_err(|e| UcadError::io(self.dir.display().to_string(), &e))?;
-        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        append_frame(&mut buf, payload);
+        let buf = frame::encode(&[], payload);
         let path = self.segment_path(self.current_first);
         let file = self.file.as_mut().expect("append segment always open");
         file.write_all(&buf)
@@ -425,7 +424,7 @@ mod tests {
         // Forge a stale segment far past the end of the log.
         let forged = dir.join(segment_file_name(7));
         let mut bytes = segment_header(7).to_vec();
-        append_frame(&mut bytes, b"stale ghost");
+        bytes.extend_from_slice(&frame::encode(&[], b"stale ghost"));
         std::fs::write(&forged, &bytes).unwrap();
 
         let (_, rec) = SegmentedWal::open(&dir, opts(1 << 20, 1), WalMetrics::default()).unwrap();

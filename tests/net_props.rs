@@ -7,16 +7,71 @@
 //!   trailing garbage must never panic: they decode to `Ok(None)` (need
 //!   more bytes) or a typed `UcadError`, and single-bit payload damage is
 //!   *always* caught by the CRC;
-//! * **streams** — a reader over a concatenation of frames yields exactly
-//!   those frames in order; a torn stream yields a clean prefix and then a
-//!   typed error, never an invented frame.
+//! * **streams** — a [`FrameBuffer`] over a concatenation of frames yields
+//!   exactly those frames in order; a torn stream yields a clean prefix and
+//!   is then left mid-frame, never an invented frame;
+//! * **layout** — the wire frame, the file envelope and a WAL record are
+//!   one byte layout (tag, LE length, LE CRC-32, payload).
 
 use proptest::prelude::*;
-use std::io::Cursor;
 use ucad_net::protocol::{
-    decode_frame, decode_message, encode_frame, encode_message, read_frame, FrameKind, Request,
+    decode_frame, decode_message, encode_frame, encode_message, FrameBuffer, FrameKind, Request,
     HEADER_LEN, MAX_PAYLOAD_LEN,
 };
+use ucad_wal::{envelope, SegmentedWal, WalMetrics, WalOptions};
+
+/// Bytes of a WAL segment header ("UCADWAL1" magic + first record index).
+const SEGMENT_HEADER_LEN: usize = 16;
+
+/// Bitwise CRC-32 (IEEE, reflected, polynomial 0xEDB88320): a reference
+/// independent of the table-driven `ucad_wal::crc32`.
+fn crc32_ref(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// The documented layout: `tag`, payload length (u32 LE), CRC-32 (u32 LE),
+/// payload.
+fn layout(tag: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = tag.to_vec();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32_ref(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// The bytes one `SegmentedWal::append` of `payload` puts after the
+/// segment header of a fresh log.
+fn wal_record_bytes(payload: &[u8]) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!(
+        "ucad-net-props-layout-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut wal, _) = SegmentedWal::open(&dir, WalOptions::default(), WalMetrics::default())
+        .expect("open a fresh log");
+    wal.append(payload).expect("append");
+    drop(wal);
+    let segment = std::fs::read_dir(&dir)
+        .expect("list the log")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "wseg"))
+        .expect("one segment");
+    let bytes = std::fs::read(segment).expect("read the segment");
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes[SEGMENT_HEADER_LEN..].to_vec()
+}
 
 fn kind_of(raw: bool) -> FrameKind {
     if raw {
@@ -113,30 +168,32 @@ proptest! {
         prop_assert!(decode_frame(&wire[..HEADER_LEN]).is_err());
     }
 
-    /// A reader over k concatenated frames yields exactly those frames in
-    /// order, then a clean EOF.
+    /// A frame buffer over k concatenated frames yields exactly those
+    /// frames in order, then nothing, on a frame boundary.
     #[test]
     fn stream_reader_yields_every_frame_then_eof(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..128), 1..8),
     ) {
-        let mut wire = Vec::new();
+        let mut reader = FrameBuffer::new();
         for (i, p) in payloads.iter().enumerate() {
-            wire.extend_from_slice(&encode_frame(kind_of(i % 2 == 0), p));
+            reader.push(&encode_frame(kind_of(i % 2 == 0), p));
         }
-        let mut cursor = Cursor::new(wire);
         for (i, p) in payloads.iter().enumerate() {
-            let (kind, payload) = read_frame(&mut cursor)
+            let (kind, payload) = reader
+                .pop()
                 .expect("valid stream")
                 .expect("frame present");
             prop_assert_eq!(kind, kind_of(i % 2 == 0));
             prop_assert_eq!(&payload, p);
         }
-        prop_assert_eq!(read_frame(&mut cursor).expect("clean EOF"), None);
+        prop_assert_eq!(reader.pop().expect("clean EOF"), None);
+        prop_assert!(!reader.is_mid_frame(), "an EOF here is a clean hangup");
     }
 
     /// Cutting a stream of frames at any byte yields a clean prefix of the
-    /// frames, then either a clean EOF (cut on a frame boundary) or a torn-
-    /// frame error — never a panic, never an invented frame.
+    /// frames, then either a clean EOF (cut on a frame boundary) or a
+    /// buffer left mid-frame, which the client and the daemon report as a
+    /// torn frame — never a panic, never an invented frame.
     #[test]
     fn torn_streams_yield_a_clean_prefix_then_a_typed_error(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..6),
@@ -150,21 +207,45 @@ proptest! {
         }
         let cut = ((wire.len() as f64) * cut_frac) as usize;
         let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-        let mut cursor = Cursor::new(&wire[..cut]);
+        let mut reader = FrameBuffer::new();
+        reader.push(&wire[..cut]);
         for p in payloads.iter().take(whole) {
-            let (_, payload) = read_frame(&mut cursor)
+            let (_, payload) = reader
+                .pop()
                 .expect("intact frames read back")
                 .expect("frame present");
             prop_assert_eq!(&payload, p);
         }
-        match read_frame(&mut cursor) {
-            Ok(None) => prop_assert!(
-                boundaries.contains(&cut),
-                "clean EOF only on a frame boundary"
-            ),
-            Ok(Some(_)) => prop_assert!(false, "read past the cut"),
-            Err(_) => prop_assert!(!boundaries.contains(&cut), "torn mid-frame is an error"),
+        prop_assert_eq!(reader.pop().expect("a prefix is never damage"), None);
+        prop_assert_eq!(
+            reader.is_mid_frame(),
+            !boundaries.contains(&cut),
+            "mid-frame exactly when the cut tore a frame"
+        );
+    }
+
+    /// The wire frame, the file envelope and a WAL record all write the
+    /// documented layout, for every frame kind: `encode_frame(kind, p)` is
+    /// the envelope of `p` under the tag "UNET" + version + kind, and a
+    /// WAL record is the same layout with no tag.
+    #[test]
+    fn wire_envelope_and_wal_share_one_frame_layout(
+        payload in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        for (kind, raw) in [(FrameKind::Request, 1u16), (FrameKind::Response, 2)] {
+            let mut tag = b"UNET".to_vec();
+            tag.extend_from_slice(&1u16.to_le_bytes());
+            tag.extend_from_slice(&raw.to_le_bytes());
+            let wire = encode_frame(kind, &payload);
+            prop_assert_eq!(&wire, &layout(&tag, &payload));
+            let tag: [u8; 8] = tag.try_into().expect("an 8-byte tag");
+            prop_assert_eq!(&envelope::encode(&tag, &payload), &wire);
         }
+        prop_assert_eq!(
+            envelope::encode(b"UCADTST1", &payload),
+            layout(b"UCADTST1", &payload)
+        );
+        prop_assert_eq!(wal_record_bytes(&payload), layout(&[], &payload));
     }
 
     /// Typed requests survive the full message path — serialize, frame,
